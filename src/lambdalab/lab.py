@@ -121,11 +121,12 @@ def _event_json(e: TraceEvent | None) -> dict | None:
 
 
 def _events_equal(e: TraceEvent, f: TraceEvent) -> bool:
-    return (
-        e.position == f.position
-        and alpha_eq(e.redex, f.redex)
-        and alpha_eq(e.contractum, f.contractum)
-    )
+    """Same address and alpha-equal redexes.
+
+    The contracta need no check: every contraction is the same
+    capture-avoiding substitution, which respects alpha, so alpha-equal
+    redexes have alpha-equal contracta."""
+    return e.position == f.position and alpha_eq(e.redex, f.redex)
 
 
 def _first_mismatch(ta, tb):
@@ -202,39 +203,31 @@ class _TrieNode:
         self.submin = _INF
 
 
+def _first_conflict(ta, tb, skip_unmatched):
+    """Match each event of ta, in order, to the earliest remaining event
+    of tb at a comparable address, which must be the same event.
+
+    Returns the first failing pair (e, f), or None. An event with no
+    comparable counterpart left fails with f None or, for fuel-cut
+    prefixes (skip_unmatched), is left to the other run's future."""
+    trie = _PositionTrie(tb)
+    for e in ta:
+        fc = trie.first_comparable(e.position)
+        if fc is _INF:
+            if skip_unmatched:
+                continue
+            return e, None
+        f = tb[fc]
+        if not _events_equal(e, f):
+            return e, f
+        trie.delete(fc, f.position)
+    return None
+
+
 def _trace_equivalent(ta, tb) -> bool:
     """Mazurkiewicz equivalence: tb is a reordering of ta in which only
     contractions at disjoint addresses have swapped."""
-    if len(ta) != len(tb):
-        return False
-    trie = _PositionTrie(tb)
-    for e in ta:
-        fc = trie.first_comparable(e.position)
-        if fc is _INF:
-            return False
-        f = tb[fc]
-        if f.position != e.position or not _events_equal(e, f):
-            return False
-        trie.delete(fc, f.position)
-    return True
-
-
-def _prefix_consistent(ta, tb):
-    """Whether two fuel-cut prefixes could extend to equivalent traces.
-
-    An event with no comparable counterpart left is attributed to the
-    other run's future and skipped; the first comparable counterpart,
-    when there is one, must match exactly. Returns (ok, event pair)."""
-    trie = _PositionTrie(tb)
-    for e in ta:
-        fc = trie.first_comparable(e.position)
-        if fc is _INF:
-            continue
-        f = tb[fc]
-        if f.position != e.position or not _events_equal(e, f):
-            return False, (e, f)
-        trie.delete(fc, f.position)
-    return True, None
+    return len(ta) == len(tb) and _first_conflict(ta, tb, False) is None
 
 
 def _compare_outcomes(oa: Outcome, ob: Outcome) -> CompareVerdict:
@@ -257,14 +250,13 @@ def _compare_outcomes(oa: Outcome, ob: Outcome) -> CompareVerdict:
     # both exhausted: every event up to the shared budget is on record
     if _first_mismatch(ta, tb) is None:
         return CompareVerdict(BOTH_EXHAUSTED_EQUAL_PREFIX)
-    ok, pair = _prefix_consistent(ta, tb)
-    if ok:
-        ok2, pair2 = _prefix_consistent(tb, ta)
-        if ok2:
+    pair = _first_conflict(ta, tb, True)
+    if pair is None:
+        pair = _first_conflict(tb, ta, True)
+        if pair is None:
             return CompareVerdict(BOTH_EXHAUSTED_MCR_PREFIX)
-        pair = (pair2[1], pair2[0])
-    e, f = pair
-    return CompareVerdict(DIFFER, (e.step_index if e else f.step_index, (e, f)))
+        pair = pair[::-1]
+    return CompareVerdict(DIFFER, (pair[0].step_index, pair))
 
 
 def compare(a, b, term, fuel=100000, *,
@@ -279,6 +271,8 @@ def compare(a, b, term, fuel=100000, *,
     (witness carries the first conflicting event pair).
     both-exhausted-*: neither run finished; the prefixes agree exactly
     or up to commutation. inconclusive: one finished, one ran out.
+    Events match on address and redex alone: substitution respects
+    alpha, so alpha-equal redexes have alpha-equal contracta.
     """
     oa = evaluate(a, term, fuel, max_nodes=max_nodes, max_frames=max_frames)
     ob = evaluate(b, term, fuel, max_nodes=max_nodes, max_frames=max_frames)
@@ -495,9 +489,10 @@ def check_fusion_row(er, corpus, fuel=100000, *, seed=None, cap=10,
     exactly up to the fuel cut), mcr rows may reorder commuting
     contractions. Each term additionally checks the absorption corollary
     (the hybrid applied to the eval stage's result changes nothing) and
-    eval idempotence. stage1_cache maps (eval spec text, term index) to
-    a precomputed eval outcome so the six eval stages can be shared
-    across the 22 rows of the table."""
+    eval idempotence. stage1_cache maps (eval spec text, max_nodes,
+    term) to a converged eval outcome so the six eval stages can be
+    shared across the 22 rows of the table; an entry is reused only when
+    it fits the fuel budget, where a fresh run would repeat it exactly."""
     if isinstance(er, str):
         er = parse_spec(er)
     fusion = fuse(er)
@@ -506,12 +501,11 @@ def check_fusion_row(er, corpus, fuel=100000, *, seed=None, cap=10,
     ev_s = print_spec(er.ev)
     report = CorpusReport(er_s, hy_s, seed, fuel, len(corpus), cap=cap,
                           mcr=fusion.mcr)
-    for idx, t in enumerate(corpus):
+    for t in corpus:
         try:
-            key = (ev_s, idx)
-            if stage1_cache is not None and key in stage1_cache:
-                stage1 = stage1_cache[key]
-            else:
+            key = (ev_s, max_nodes, t)
+            stage1 = stage1_cache.get(key) if stage1_cache is not None else None
+            if stage1 is None or stage1.fuel_used > fuel:
                 stage1 = evaluate(er.ev, t, fuel, max_nodes=max_nodes)
                 # only converged stages are worth keeping: exhausted ones
                 # carry budget-sized traces

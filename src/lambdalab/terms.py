@@ -253,8 +253,13 @@ def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Alpha equivalence: equal up to consistent renaming of bound names."""
-    if a is b:
+    """Alpha equivalence: equal up to consistent renaming of bound names.
+
+    Equal trees are alpha equivalent and `==` is exact (it rejects on the
+    cached hashes or walks both terms), so the nameless signatures are
+    built only when `==` says no: rarely, as one engine's runs build
+    equal trees."""
+    if a == b:
         return True
     intern = {}
     return _alpha_sig(a, intern) is _alpha_sig(b, intern)

@@ -16,8 +16,10 @@ from lambdalab import (
     VIOLATED,
     FormClass,
     NotationError,
+    ReadbackSpec,
     alpha_eq,
     canonicalize,
+    catalogue,
     check_absorption,
     check_fusion_row,
     compare,
@@ -28,7 +30,9 @@ from lambdalab import (
     parse_term,
     reconstruct_sequence,
 )
+from lambdalab import lab
 from lambdalab.lab import _trace_equivalent
+from lambdalab.terms import _alpha_sig
 from strategies import closed_terms
 
 LADDER = [
@@ -163,6 +167,65 @@ def test_fusion_row_clean_on_small_corpus():
         "byValue", SMALL_CORPUS, fuel=5000).verdicts
 
 
+def test_fusion_stage1_cache_respects_smaller_fuel():
+    cache = {}
+    check_fusion_row("byValue", SMALL_CORPUS, fuel=5000, stage1_cache=cache)
+    warm = check_fusion_row("byValue", SMALL_CORPUS, fuel=1,
+                            stage1_cache=cache)
+    cold = check_fusion_row("byValue", SMALL_CORPUS, fuel=1)
+    assert warm.to_json() == cold.to_json()
+
+
+def test_fusion_stage1_cache_is_keyed_by_term():
+    cache = {}
+    check_fusion_row("(RE)I.III", SMALL_CORPUS[:1], fuel=5000,
+                     stage1_cache=cache)
+    other = [parse_term("(\\x.x x) \\y.y")]
+    warm = check_fusion_row("(RE)I.III", other, fuel=5000, stage1_cache=cache)
+    assert warm.verdicts == {ONE_STEP_EQUAL: 1}
+    assert warm.counterexamples == []
+
+
+def test_fusion_stage1_cache_under_smaller_max_nodes():
+    term = [parse_term("(\\x.\\y.x) (\\z.z)")]
+    cache = {}
+    check_fusion_row("(RE)I.III", term, fuel=5000, stage1_cache=cache)
+    warm = check_fusion_row("(RE)I.III", term, fuel=5000, max_nodes=0,
+                            stage1_cache=cache)
+    cold = check_fusion_row("(RE)I.III", term, fuel=5000, max_nodes=0)
+    assert warm.to_json() == cold.to_json()
+
+
+def _sig_eq(a, b):
+    intern = {}
+    return _alpha_sig(a, intern) is _alpha_sig(b, intern)
+
+
+def test_redex_only_event_equality_matches_full_check(corpus_1337,
+                                                      paper_terms,
+                                                      monkeypatch):
+    # Every event pair the fusion table compares is also judged by the
+    # full definition: same address, alpha-equal redexes and contracta.
+    fast = lab._events_equal
+    compared = []
+
+    def both(e, f):
+        got = fast(e, f)
+        full = (e.position == f.position and _sig_eq(e.redex, f.redex)
+                and _sig_eq(e.contractum, f.contractum))
+        compared.append((got, full))
+        return got
+
+    monkeypatch.setattr(lab, "_events_equal", both)
+    corpus = list(paper_terms.values()) + list(corpus_1337[:100])
+    rows = [r.spec for r in catalogue() if isinstance(r.spec, ReadbackSpec)]
+    assert len(rows) == 22
+    for row in rows:
+        check_fusion_row(row, corpus, 3000, max_nodes=250000)
+    assert all(got == full for got, full in compared)
+    assert {got for got, _ in compared} == {True, False}
+
+
 def test_fusion_row_rejects_invalid_readback():
     with pytest.raises(NotationError):
         check_fusion_row("II.III", SMALL_CORPUS)
@@ -181,6 +244,24 @@ def test_compare_corpus_aggregates_and_reports():
     assert set(blob) == {"a", "b", "seed", "fuel", "n", "verdicts",
                          "counterexamples"}
     assert blob["n"] == len(corpus)
+
+
+def test_compare_corpus_process_pool_matches_serial():
+    corpus = SMALL_CORPUS + [parse_term("x (x ((\\a.a) u))"),
+                             parse_term("(\\x.y) #Omega")]
+    serial = compare_corpus("no", "hr", corpus, fuel=2000)
+    pooled = compare_corpus("no", "hr", corpus, fuel=2000, processes=2)
+    assert pooled.to_json() == serial.to_json()
+    assert serial.counterexamples
+
+
+def test_absorption_process_pool_matches_serial():
+    corpus = SMALL_CORPUS + [parse_term("(\\x.y) #Omega"),
+                             parse_term("(\\x.y) (\\k.k #Omega)")]
+    serial = check_absorption("ao", "bn", corpus, fuel=2000)
+    pooled = check_absorption("ao", "bn", corpus, fuel=2000, processes=2)
+    assert pooled.to_json() == serial.to_json()
+    assert serial.counterexamples
 
 
 def test_factorial_term_group_routing():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 import oracle
-from strategies import NAMES, terms
+from strategies import NAMES, contractions, copy_term, terms
 
 from lambdalab import (
     App,
@@ -21,6 +21,7 @@ from lambdalab import (
     free_vars,
     fresh_var,
     generate,
+    paper_corpus,
     parse_term,
     print_term,
     substitute,
@@ -231,6 +232,27 @@ def test_alpha_eq_reflexive_and_rename_invariant(t):
 @given(terms(), terms())
 def test_alpha_eq_agrees_with_oracle(a, b):
     assert alpha_eq(a, b) == oracle.db_eq(a, b)
+
+
+CORPUS_TERMS = ([t for _, t in paper_corpus()]
+                + generate(GenConfig(seed=1337, size_max=30), 100))
+
+
+@given(terms() | st.sampled_from(CORPUS_TERMS))
+def test_alpha_eq_fast_path_agrees_with_oracle(t):
+    # Equal copies take the structural fast path, renamed copies the
+    # signature path. Alpha-equal redexes have alpha-equal contracta,
+    # which trace comparison relies on.
+    renamed = copy_term(t, rename=True)
+    steps = contractions(t) + contractions(renamed)
+    for r1, c1 in steps:
+        for r2, c2 in steps:
+            if oracle.db_eq(r1, r2):
+                assert oracle.db_eq(c1, c2)
+    family = [t, copy_term(t), renamed] + [c for _, c in steps]
+    for a in family:
+        for b in family:
+            assert alpha_eq(a, b) == oracle.db_eq(a, b)
 
 
 @given(st.sets(st.sampled_from(["x", "x1", "x2", "x3", "y5"]), max_size=5))
