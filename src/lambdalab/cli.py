@@ -14,16 +14,24 @@ import argparse
 import json
 import sys
 
-from .corpus import GenConfig, generate, load_corpus, save_corpus, trace_json
+from .corpus import GenConfig, generate, load_corpus, save_corpus
 from .engine import (
     CONVERGED,
     DEFAULT_FUEL,
     EngineError,
+    TraceEvent,
     derivation_forest,
     evaluate,
     reconstruct_sequence,
 )
-from .lab import INCONCLUSIVE, compare, compare_corpus, demo_factorial
+from .lab import (
+    INCONCLUSIVE,
+    compare,
+    compare_corpus,
+    demo_factorial,
+    event_json,
+    trace_json,
+)
 from .notation import (
     NotationError,
     ReadbackSpec,
@@ -36,7 +44,6 @@ from .notation import (
     validate,
 )
 from .terms import (
-    App,
     FormClass,
     Lam,
     ParseError,
@@ -87,31 +94,16 @@ def _all_names(term: Term) -> set[str]:
     return names
 
 
-def _bracketed(term: Term, position) -> str:
-    """Render term with the subterm at position wrapped in [...]."""
-    spine = []
-    node = term
-    for letter in position:
-        spine.append((node, letter))
-        if letter == "F":
-            node = node.operator
-        elif letter == "A":
-            node = node.operand
-        else:
-            node = node.body
+def _bracketed(term: Term, event: TraceEvent) -> str:
+    """Render term with the redex of event wrapped in [...]."""
     # A placeholder longer than every identifier in the term can be
     # substituted back out of the printed string without collisions.
     width = max((len(n) for n in _all_names(term)), default=0) + 1
-    marker = "m" * width
-    rebuilt = Var(marker)
-    for parent, letter in reversed(spine):
-        if letter == "F":
-            rebuilt = App(rebuilt, parent.operand)
-        elif letter == "A":
-            rebuilt = App(parent.operator, rebuilt)
-        else:
-            rebuilt = Lam(parent.param, rebuilt)
-    return print_term(rebuilt).replace(marker, f"[{print_term(node)}]")
+    marker = Var("m" * width)
+    _, marked = reconstruct_sequence(term, [TraceEvent(
+        event.step_index, event.position, event.redex, marker)])
+    return print_term(marked).replace(marker.name,
+                                      f"[{print_term(event.redex)}]")
 
 
 def _status_line(outcome) -> str:
@@ -147,7 +139,7 @@ def _cmd_trace(args) -> int:
         return _finish(args, outcome)
     states = reconstruct_sequence(term, outcome.trace)
     for state, event in zip(states, outcome.trace):
-        print(_bracketed(state, event.position))
+        print(_bracketed(state, event))
     print(print_term(states[-1]))
     print(_status_line(outcome))
     return _finish(args, outcome)
@@ -210,37 +202,24 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
-    index, (ea, eb) = witness
-    def event(e):
-        if e is None:
-            return None
-        return {
-            "i": e.step_index,
-            "path": "".join(e.position),
-            "redex": print_term(e.redex),
-            "contractum": print_term(e.contractum),
-        }
-    return {"index": index, "a": event(ea), "b": event(eb)}
-
-
 def _cmd_compare(args) -> int:
     term = parse_term(args.term)
     verdict = compare(parse_spec(args.a), parse_spec(args.b), term, args.fuel)
+    witness = None
+    if verdict.witness is not None:
+        index, (ea, eb) = verdict.witness
+        witness = {"index": index, "a": event_json(ea), "b": event_json(eb)}
     if args.json:
         _emit(args, {
             "a": args.a,
             "b": args.b,
             "term": print_term(term),
             "verdict": verdict.kind,
-            "witness": _witness_json(verdict.witness),
+            "witness": witness,
         })
     else:
         print(verdict.kind)
-        if verdict.witness is not None:
-            index, (ea, eb) = verdict.witness
+        if witness is not None:
             print(f"first conflict at step {index}:")
             for label, event in (("a", ea), ("b", eb)):
                 if event is None:

@@ -12,9 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import CONVERGED, Outcome
-from .lab import _event_json, _term_str
-from .notation import StrategySpec, print_spec
 from .terms import App, Lam, ParseError, Term, Var, parse_term, print_term
 
 _WEIGHT_VAR = 0.30
@@ -175,19 +172,3 @@ def load_corpus(path: str) -> list[Term]:
             except ParseError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return terms
-
-
-def trace_json(spec: StrategySpec | str, term: Term, outcome: Outcome) -> dict:
-    """One evaluation as a JSON-ready dict.
-
-    Carries the strategy, input, status, result (null unless converged),
-    fuel spent, and the contraction events with their tree addresses."""
-    spec_text = spec if isinstance(spec, str) else print_spec(spec)
-    return {
-        "spec": spec_text,
-        "term": _term_str(term),
-        "status": outcome.status,
-        "result": _term_str(outcome.result) if outcome.status == CONVERGED else None,
-        "fuel_used": outcome.fuel_used,
-        "trace": [_event_json(e) for e in (outcome.trace or ())],
-    }

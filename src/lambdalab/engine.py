@@ -198,7 +198,6 @@ class _Machine:
         self.max_frames = max_frames
         self.frames = []
         self.values = []
-        self.step_offset = 0
         self._ptup = {}
         self.rb_la = None
         self.rb_ar2 = None
@@ -236,7 +235,7 @@ class _Machine:
         event = None
         if self.record:
             event = TraceEvent(
-                self.step_offset + len(self.events),
+                len(self.events),
                 self.path_tuple(path),
                 App(lam, operand),
                 contractum,
@@ -455,13 +454,14 @@ class _Machine:
 
 
 def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
-                 trees=False, stage1=None, fuel_already_used=0):
-    """Shared driver. stage1 short-circuits a readback's eval stage with
-    a precomputed intermediate term (the caller passes the fuel it cost
-    and the events it produced via fuel_already_used / machine seeding)."""
-    machine = _Machine(fuel - fuel_already_used, record_trace, max_nodes,
-                       max_frames, trees)
-    machine.step_offset = fuel_already_used
+                 trees=False, stage1=None):
+    """Shared driver. A converged eval-stage Outcome passed as stage1
+    stands in for a readback's eval stage: its fuel is spent and its
+    events open the trace."""
+    spent = 0 if stage1 is None else stage1.fuel_used
+    machine = _Machine(fuel - spent, record_trace, max_nodes, max_frames, trees)
+    if stage1 is not None and machine.record:
+        machine.events.extend(stage1.trace)
     eval_sink = [] if trees else None
     rb_sink = [] if trees else None
     exhausted = False
@@ -470,13 +470,14 @@ def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
         machine.ev_layer = _build_layer(spec.ev)
         machine.rb_la = spec.la
         machine.rb_ar2 = spec.ar2
-        intermediate = stage1
-        if intermediate is None:
+        if stage1 is None:
             machine.frames.append((_EV, machine.ev_layer, term, None, eval_sink))
             try:
                 intermediate = machine.run()
             except _OutOfFuel:
                 exhausted = True
+        else:
+            intermediate = stage1.result
         if not exhausted:
             machine.frames.append((_RB, intermediate, None, rb_sink))
             try:
@@ -503,7 +504,7 @@ def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
         if exhausted:
             raise EngineError("fuel exhausted before the derivation completed")
         if isinstance(spec, ReadbackSpec):
-            roots = (eval_sink[0], rb_sink[0]) if stage1 is None else (rb_sink[0],)
+            roots = (eval_sink[0], rb_sink[0])
         else:
             roots = (eval_sink[0],)
     return outcome, roots
@@ -527,19 +528,22 @@ def evaluate(spec, term, fuel=DEFAULT_FUEL, *, record_trace=True,
     return outcome
 
 
-def _finish_readback(spec: ReadbackSpec, intermediate: Term, fuel: int,
-                     fuel_already_used: int, *, record_trace=True,
-                     max_nodes=DEFAULT_MAX_NODES,
-                     max_frames=DEFAULT_MAX_FRAMES) -> Outcome:
-    """Readback stage only, resuming after a cached eval stage.
+def resume_readback(spec: ReadbackSpec, stage1: Outcome, fuel: int, *,
+                    max_nodes=DEFAULT_MAX_NODES,
+                    max_frames=DEFAULT_MAX_FRAMES) -> Outcome:
+    """The staged run of spec, resumed from stage1, the outcome of its
+    eval stage under the same fuel budget.
 
-    The returned trace covers the readback stage alone; step indices and
-    fuel accounting continue from the eval stage's, so the caller can
-    concatenate the stage traces."""
-    outcome, _ = _run_machine(
-        spec, None, fuel, record_trace, max_nodes, max_frames,
-        stage1=intermediate, fuel_already_used=fuel_already_used,
-    )
+    Equal to evaluate(spec, term, fuel) on the term stage1 ran: the
+    readback walk spends what the eval stage left, its step indices
+    continue the eval stage's, and the trace (recorded when stage1 has
+    one) covers both stages. An unconverged stage1 is the answer."""
+    if stage1.status != CONVERGED:
+        return stage1
+    if stage1.fuel_used > fuel:
+        raise EngineError("the eval stage spent more than the fuel budget")
+    outcome, _ = _run_machine(spec, None, fuel, stage1.trace is not None,
+                              max_nodes, max_frames, stage1=stage1)
     return outcome
 
 

@@ -7,16 +7,22 @@ equivalence where two contractions are independent exactly when their
 addresses are disjoint, neither a prefix of the other; that is what
 reordering work between the operands of a neutral looks like in a trace.
 
-On top of that sit the corpus drivers: check_absorption tests whether
-running one strategy after another changes anything, check_fusion_row
-tests a staged readback against its fused hybrid, and demo_factorial
-runs the factorial programs that exercise every named strategy.
+On top of that sit the corpus drivers: compare_corpus runs compare()
+over a term list, check_absorption tests whether running one strategy
+after another changes anything, and check_fusion_row tests a staged
+readback against its fused hybrid. Each is a per-term entry function
+mapped over the corpus by one loop, _map_corpus, which aggregates the
+verdicts in corpus order and, for compare_corpus and check_absorption,
+can spread the terms over a process pool. demo_factorial runs the
+factorial programs that exercise every named strategy. event_json and
+trace_json render events and runs for JSON output.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -25,12 +31,12 @@ from .engine import (
     DEFAULT_MAX_NODES,
     Outcome,
     TraceEvent,
-    _finish_readback,
     evaluate,
+    resume_readback,
 )
 from .notation import (
     NotationError,
-    ReadbackSpec,
+    StrategySpec,
     fuse,
     parse_spec,
     print_spec,
@@ -109,7 +115,9 @@ def _term_str(t: Term | None) -> str | None:
     return s
 
 
-def _event_json(e: TraceEvent | None) -> dict | None:
+def event_json(e: TraceEvent | None) -> dict | None:
+    """One contraction as a JSON-ready dict; terms longer than 100,000
+    characters are cut short."""
     if e is None:
         return None
     return {
@@ -117,6 +125,22 @@ def _event_json(e: TraceEvent | None) -> dict | None:
         "path": "".join(e.position),
         "redex": _term_str(e.redex),
         "contractum": _term_str(e.contractum),
+    }
+
+
+def trace_json(spec: StrategySpec | str, term: Term, outcome: Outcome) -> dict:
+    """One evaluation as a JSON-ready dict.
+
+    Carries the strategy, input, status, result (null unless converged),
+    fuel spent, and the contraction events with their tree addresses."""
+    spec_text = spec if isinstance(spec, str) else print_spec(spec)
+    return {
+        "spec": spec_text,
+        "term": _term_str(term),
+        "status": outcome.status,
+        "result": _term_str(outcome.result) if outcome.status == CONVERGED else None,
+        "fuel_used": outcome.fuel_used,
+        "trace": [event_json(e) for e in (outcome.trace or ())],
     }
 
 
@@ -320,28 +344,55 @@ def canonicalize(trace) -> tuple[TraceEvent, ...]:
     return tuple(out)
 
 
-def _aggregate(report: CorpusReport, verdict_kind, example):
-    report.verdicts[verdict_kind] = report.verdicts.get(verdict_kind, 0) + 1
-    if example is not None and len(report.counterexamples) < report.cap:
-        report.counterexamples.append(example)
+def _map_corpus(report: CorpusReport, entry, args, corpus,
+                processes=None) -> CorpusReport:
+    """Run entry(term, *args) -> (verdict kind, example or None) on every
+    term and aggregate into report in corpus order.
+
+    Entries are independent pure computations; with processes > 1 they
+    run in a process pool, on terms shipped as text, and the report is
+    identical either way."""
+    if processes and processes > 1:
+        import concurrent.futures
+
+        texts = [print_term(t) for t in corpus]
+        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
+            results = list(pool.map(_corpus_item, repeat(entry),
+                                    repeat(args), texts))
+    else:
+        results = (_corpus_item(entry, args, t) for t in corpus)
+    for kind, example in results:
+        report.verdicts[kind] = report.verdicts.get(kind, 0) + 1
+        if example is not None and len(report.counterexamples) < report.cap:
+            report.counterexamples.append(example)
+    return report
 
 
-def _compare_corpus_entry(a, b, term, fuel, max_nodes, counterexample_kinds):
+def _corpus_item(entry, args, term):
+    """One term through a driver's entry; as the pool worker it gets the
+    term as text."""
+    if isinstance(term, str):
+        term = parse_term(term)
     try:
-        verdict = compare(a, b, term, fuel, max_nodes=max_nodes)
+        return entry(term, *args)
     except ResourceLimitError:
         return "resource", None
+
+
+def _trace_example(term, kind, witness) -> dict:
+    """Counterexample entry of a trace comparison, with the first
+    conflicting event pair as its witness."""
+    if witness is not None:
+        i, (ea, eb) = witness
+        witness = {"step": i, "a": event_json(ea), "b": event_json(eb)}
+    return {"term": _term_str(term), "verdict": kind, "witness": witness}
+
+
+def _compare_entry(term, a, b, fuel, max_nodes, counterexample_kinds):
+    verdict = compare(a, b, term, fuel, max_nodes=max_nodes)
     example = None
     if verdict.kind in counterexample_kinds:
-        witness = None
-        if verdict.witness is not None:
-            i, (ea, eb) = verdict.witness
-            witness = {"step": i, "a": _event_json(ea), "b": _event_json(eb)}
-        example = {
-            "term": _term_str(term),
-            "verdict": verdict.kind,
-            "witness": witness,
-        }
+        example = _trace_example(term, verdict.kind, verdict.witness)
     return verdict.kind, example
 
 
@@ -351,46 +402,21 @@ def compare_corpus(a, b, corpus, fuel=100000, *, seed=None, cap=10,
                    processes=None) -> CorpusReport:
     """compare() over a term list, aggregated into a CorpusReport.
 
-    Per-term comparisons are independent pure computations; with
-    processes > 1 they run in a process pool, and the report is
-    identical either way because aggregation follows corpus order."""
-    a_s = print_spec(parse_spec(a) if isinstance(a, str) else a)
-    b_s = print_spec(parse_spec(b) if isinstance(b, str) else b)
-    report = CorpusReport(a_s, b_s, seed, fuel, len(corpus), cap=cap)
-    if processes and processes > 1:
-        import concurrent.futures
-
-        args = [
-            (a_s, b_s, print_term(t), fuel, max_nodes, tuple(counterexample_kinds))
-            for t in corpus
-        ]
-        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
-            results = list(pool.map(_compare_worker, args))
-        for kind, example in results:
-            _aggregate(report, kind, example)
-        return report
-    for t in corpus:
-        kind, example = _compare_corpus_entry(
-            a, b, t, fuel, max_nodes, counterexample_kinds
-        )
-        _aggregate(report, kind, example)
-    return report
-
-
-def _compare_worker(args):
-    a, b, term_text, fuel, max_nodes, kinds = args
-    return _compare_corpus_entry(
-        a, b, parse_term(term_text), fuel, max_nodes, kinds
-    )
+    processes > 1 spreads the terms over a process pool; the report is
+    the same."""
+    a = parse_spec(a) if isinstance(a, str) else a
+    b = parse_spec(b) if isinstance(b, str) else b
+    report = CorpusReport(print_spec(a), print_spec(b), seed, fuel,
+                          len(corpus), cap=cap)
+    args = (a, b, fuel, max_nodes, tuple(counterexample_kinds))
+    return _map_corpus(report, _compare_entry, args, corpus, processes)
 
 
 ABSORBED = "absorbed"
 VIOLATED = "violated"
 
 
-def _status_summary(outcome: Outcome | None) -> dict:
-    if outcome is None:
-        return {"status": "resource"}
+def _status_summary(outcome: Outcome) -> dict:
     return {
         "status": outcome.status,
         "result": _term_str(outcome.result),
@@ -406,42 +432,27 @@ def check_absorption(outer, inner, corpus, fuel=100000, *, seed=None, cap=10,
     inner run that exhausts it leaves the composition exhausted. A term
     counts absorbed when both sides converge to alpha-equal results,
     violated when results differ or exactly one side converges, and
-    inconclusive when both run out of fuel."""
-    outer_s = print_spec(parse_spec(outer) if isinstance(outer, str) else outer)
-    inner_s = print_spec(parse_spec(inner) if isinstance(inner, str) else inner)
-    report = CorpusReport(outer_s, inner_s, seed, fuel, len(corpus), cap=cap)
-    if processes and processes > 1:
-        import concurrent.futures
-
-        args = [
-            (outer_s, inner_s, print_term(t), fuel, max_nodes)
-            for t in corpus
-        ]
-        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
-            results = list(pool.map(_absorption_worker, args))
-        for kind, example in results:
-            _aggregate(report, kind, example)
-        return report
-    for t in corpus:
-        kind, example = _absorption_entry(outer, inner, t, fuel, max_nodes)
-        _aggregate(report, kind, example)
-    return report
+    inconclusive when both run out of fuel. processes > 1 spreads the
+    terms over a process pool; the report is the same."""
+    outer = parse_spec(outer) if isinstance(outer, str) else outer
+    inner = parse_spec(inner) if isinstance(inner, str) else inner
+    report = CorpusReport(print_spec(outer), print_spec(inner), seed, fuel,
+                          len(corpus), cap=cap)
+    args = (outer, inner, fuel, max_nodes)
+    return _map_corpus(report, _absorption_entry, args, corpus, processes)
 
 
-def _absorption_entry(outer, inner, term, fuel, max_nodes):
-    try:
-        inner_out = evaluate(inner, term, fuel, record_trace=False,
-                             max_nodes=max_nodes)
-        if inner_out.status == CONVERGED:
-            composed = evaluate(outer, inner_out.result,
-                                fuel - inner_out.fuel_used,
-                                record_trace=False, max_nodes=max_nodes)
-        else:
-            composed = inner_out
-        alone = evaluate(outer, term, fuel, record_trace=False,
+def _absorption_entry(term, outer, inner, fuel, max_nodes):
+    inner_out = evaluate(inner, term, fuel, record_trace=False,
                          max_nodes=max_nodes)
-    except ResourceLimitError:
-        return "resource", None
+    if inner_out.status == CONVERGED:
+        composed = evaluate(outer, inner_out.result,
+                            fuel - inner_out.fuel_used,
+                            record_trace=False, max_nodes=max_nodes)
+    else:
+        composed = inner_out
+    alone = evaluate(outer, term, fuel, record_trace=False,
+                     max_nodes=max_nodes)
     if composed.status == CONVERGED and alone.status == CONVERGED:
         if alpha_eq(composed.result, alone.result):
             return ABSORBED, None
@@ -461,27 +472,8 @@ def _absorption_entry(outer, inner, term, fuel, max_nodes):
     return kind, example
 
 
-def _absorption_worker(args):
-    outer, inner, term_text, fuel, max_nodes = args
-    return _absorption_entry(outer, inner, parse_term(term_text), fuel, max_nodes)
-
-
-def _staged_outcome(er: ReadbackSpec, term, fuel, stage1: Outcome,
-                    max_nodes) -> Outcome:
-    """Assemble the staged run from a cached eval-stage outcome."""
-    if stage1.status != CONVERGED:
-        return stage1
-    rb = _finish_readback(er, stage1.result, fuel, stage1.fuel_used,
-                          max_nodes=max_nodes)
-    trace = None
-    if stage1.trace is not None and rb.trace is not None:
-        trace = stage1.trace + rb.trace
-    return Outcome(rb.status, rb.result, trace, rb.fuel_used)
-
-
 def check_fusion_row(er, corpus, fuel=100000, *, seed=None, cap=10,
-                     max_nodes=DEFAULT_MAX_NODES,
-                     stage1_cache: dict | None = None) -> CorpusReport:
+                     max_nodes=DEFAULT_MAX_NODES) -> CorpusReport:
     """Differential check of one staged row against its fused hybrid.
 
     For every term, the staged readback and the fused hybrid are run and
@@ -489,67 +481,41 @@ def check_fusion_row(er, corpus, fuel=100000, *, seed=None, cap=10,
     exactly up to the fuel cut), mcr rows may reorder commuting
     contractions. Each term additionally checks the absorption corollary
     (the hybrid applied to the eval stage's result changes nothing) and
-    eval idempotence. stage1_cache maps (eval spec text, max_nodes,
-    term) to a converged eval outcome so the six eval stages can be
-    shared across the 22 rows of the table; an entry is reused only when
-    it fits the fuel budget, where a fresh run would repeat it exactly."""
+    eval idempotence."""
     if isinstance(er, str):
         er = parse_spec(er)
     fusion = fuse(er)
-    hy = fusion.hybrid
-    er_s, hy_s = print_spec(er), print_spec(hy)
-    ev_s = print_spec(er.ev)
-    report = CorpusReport(er_s, hy_s, seed, fuel, len(corpus), cap=cap,
-                          mcr=fusion.mcr)
-    for t in corpus:
-        try:
-            key = (ev_s, max_nodes, t)
-            stage1 = stage1_cache.get(key) if stage1_cache is not None else None
-            if stage1 is None or stage1.fuel_used > fuel:
-                stage1 = evaluate(er.ev, t, fuel, max_nodes=max_nodes)
-                # only converged stages are worth keeping: exhausted ones
-                # carry budget-sized traces
-                if stage1_cache is not None and stage1.status == CONVERGED:
-                    stage1_cache[key] = stage1
-            staged = _staged_outcome(er, t, fuel, stage1, max_nodes)
-            fused = evaluate(hy, t, fuel, max_nodes=max_nodes)
-            verdict = _compare_outcomes(staged, fused)
-            extra = None
-            if stage1.status == CONVERGED:
-                hy_of_ev = evaluate(hy, stage1.result,
-                                    fuel - stage1.fuel_used,
-                                    record_trace=False, max_nodes=max_nodes)
-                if fused.status == CONVERGED and hy_of_ev.status == CONVERGED:
-                    if not alpha_eq(hy_of_ev.result, fused.result):
-                        extra = "hybrid-absorb-eval-violated"
-                elif fused.status == CONVERGED or hy_of_ev.status == CONVERGED:
-                    extra = "hybrid-absorb-eval-violated"
-                if extra is None:
-                    ev_again = evaluate(er.ev, stage1.result,
-                                        fuel - stage1.fuel_used,
-                                        record_trace=False,
-                                        max_nodes=max_nodes)
-                    if ev_again.status != CONVERGED or not alpha_eq(
-                        ev_again.result, stage1.result
-                    ):
-                        extra = "eval-idempotence-violated"
-        except ResourceLimitError:
-            _aggregate(report, "resource", None)
-            continue
-        example = None
-        bad = _fusion_failure(verdict.kind, fusion.mcr) or extra is not None
-        if bad:
-            witness = None
-            if verdict.witness is not None:
-                i, (ea, eb) = verdict.witness
-                witness = {"step": i, "a": _event_json(ea), "b": _event_json(eb)}
-            example = {
-                "term": _term_str(t),
-                "verdict": extra if extra else verdict.kind,
-                "witness": witness,
-            }
-        _aggregate(report, verdict.kind, example)
-    return report
+    report = CorpusReport(print_spec(er), print_spec(fusion.hybrid), seed,
+                          fuel, len(corpus), cap=cap, mcr=fusion.mcr)
+    args = (er, fusion.hybrid, fusion.mcr, fuel, max_nodes)
+    return _map_corpus(report, _fusion_entry, args, corpus)
+
+
+def _fusion_entry(term, er, hy, mcr, fuel, max_nodes):
+    stage1 = evaluate(er.ev, term, fuel, max_nodes=max_nodes)
+    staged = resume_readback(er, stage1, fuel, max_nodes=max_nodes)
+    fused = evaluate(hy, term, fuel, max_nodes=max_nodes)
+    verdict = _compare_outcomes(staged, fused)
+    extra = None
+    if stage1.status == CONVERGED:
+        hy_of_ev = evaluate(hy, stage1.result, fuel - stage1.fuel_used,
+                            record_trace=False, max_nodes=max_nodes)
+        if fused.status == CONVERGED and hy_of_ev.status == CONVERGED:
+            if not alpha_eq(hy_of_ev.result, fused.result):
+                extra = "hybrid-absorb-eval-violated"
+        elif fused.status == CONVERGED or hy_of_ev.status == CONVERGED:
+            extra = "hybrid-absorb-eval-violated"
+        if extra is None:
+            ev_again = evaluate(er.ev, stage1.result, fuel - stage1.fuel_used,
+                                record_trace=False, max_nodes=max_nodes)
+            if ev_again.status != CONVERGED or not alpha_eq(
+                ev_again.result, stage1.result
+            ):
+                extra = "eval-idempotence-violated"
+    example = None
+    if extra is not None or _fusion_failure(verdict.kind, mcr):
+        example = _trace_example(term, extra or verdict.kind, verdict.witness)
+    return verdict.kind, example
 
 
 def _fusion_failure(kind, mcr) -> bool:

@@ -22,8 +22,3 @@ def corpus_1337():
 def paper_terms():
     return dict(paper_corpus())
 
-
-@pytest.fixture(scope="session")
-def fusion_cache():
-    """Eval-stage outcomes shared by every fusion-table row."""
-    return {}

@@ -97,15 +97,14 @@ def test_criterion_2_catalogue_result_forms(corpus_1337):
     print(f"size-capped runs excluded: {capped}")
 
 
-def test_criterion_3_fusion_table(corpus_1337, paper_terms, fusion_cache):
+def test_criterion_3_fusion_table(corpus_1337, paper_terms):
     corpus = list(corpus_1337) + list(paper_terms.values())
     rows = [r for r in catalogue() if isinstance(r.spec, ReadbackSpec)]
     assert len(rows) == 22
     excluded = {}
     for row in rows:
         report = check_fusion_row(row.spec, corpus, FUSION_FUEL,
-                                  max_nodes=SWEEP_MAX_NODES,
-                                  stage1_cache=fusion_cache)
+                                  max_nodes=SWEEP_MAX_NODES)
         assert report.counterexamples == [], print_spec(row.spec)
         allowed = {ONE_STEP_EQUAL, BOTH_EXHAUSTED_EQUAL_PREFIX,
                    INCONCLUSIVE, "resource"}

@@ -20,7 +20,7 @@ from lambdalab import (
     reconstruct_sequence,
     sequence_from_tree,
 )
-from lambdalab.engine import _finish_readback
+from lambdalab.engine import resume_readback
 from strategies import closed_terms
 
 SPEC_POOL = ("bn", "bv", "ao", "he", "IIS", "SIS", "no", "hn", "sn", "ha",
@@ -90,13 +90,21 @@ def test_readback_staging_concatenates():
     full = evaluate(spec, term)
     assert full.status == CONVERGED
     stage1 = evaluate(spec.ev, term)
-    stage2 = _finish_readback(spec, stage1.result, 100000, stage1.fuel_used)
-    assert stage1.trace + stage2.trace == full.trace
-    assert alpha_eq(stage2.result, full.result)
-    assert stage2.fuel_used == full.fuel_used
+    staged = resume_readback(spec, stage1, 100000)
+    assert staged.trace == full.trace
+    assert staged.trace[:len(stage1.trace)] == stage1.trace
+    assert alpha_eq(staged.result, full.result)
+    assert staged.fuel_used == full.fuel_used
     # Stage two step indices continue where stage one stopped.
     assert [e.step_index for e in full.trace] == list(range(len(full.trace)))
     assert len(stage1.trace) < len(full.trace)
+    # Under every smaller budget too, including ones the eval stage or
+    # the readback walk runs out of.
+    for fuel in range(full.fuel_used + 1):
+        resumed = resume_readback(spec, evaluate(spec.ev, term, fuel), fuel)
+        assert resumed == evaluate(spec, term, fuel)
+    with pytest.raises(EngineError):
+        resume_readback(spec, stage1, stage1.fuel_used - 1)
 
 
 def test_derivation_tree_rejects_readback_spec():

@@ -1,5 +1,7 @@
 """Differential laboratory: compare ladder, absorption, fusion checks."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,10 +151,8 @@ def test_absorption_counterexample_cap():
 
 
 def test_fusion_row_clean_on_small_corpus():
-    cache = {}
     for row, mcr in [("byValue", True), ("(RE)I.III", False)]:
-        report = check_fusion_row(row, SMALL_CORPUS, fuel=5000,
-                                  stage1_cache=cache)
+        report = check_fusion_row(row, SMALL_CORPUS, fuel=5000)
         assert report.mcr is mcr
         assert report.counterexamples == []
         allowed = {ONE_STEP_EQUAL, BOTH_EXHAUSTED_EQUAL_PREFIX, INCONCLUSIVE}
@@ -160,40 +160,6 @@ def test_fusion_row_clean_on_small_corpus():
             allowed |= {EQUAL_MCR, BOTH_EXHAUSTED_MCR_PREFIX}
         assert set(report.verdicts) <= allowed
         assert sum(report.verdicts.values()) == len(SMALL_CORPUS)
-    assert cache
-    again = check_fusion_row("byValue", SMALL_CORPUS, fuel=5000,
-                             stage1_cache=cache)
-    assert again.verdicts == check_fusion_row(
-        "byValue", SMALL_CORPUS, fuel=5000).verdicts
-
-
-def test_fusion_stage1_cache_respects_smaller_fuel():
-    cache = {}
-    check_fusion_row("byValue", SMALL_CORPUS, fuel=5000, stage1_cache=cache)
-    warm = check_fusion_row("byValue", SMALL_CORPUS, fuel=1,
-                            stage1_cache=cache)
-    cold = check_fusion_row("byValue", SMALL_CORPUS, fuel=1)
-    assert warm.to_json() == cold.to_json()
-
-
-def test_fusion_stage1_cache_is_keyed_by_term():
-    cache = {}
-    check_fusion_row("(RE)I.III", SMALL_CORPUS[:1], fuel=5000,
-                     stage1_cache=cache)
-    other = [parse_term("(\\x.x x) \\y.y")]
-    warm = check_fusion_row("(RE)I.III", other, fuel=5000, stage1_cache=cache)
-    assert warm.verdicts == {ONE_STEP_EQUAL: 1}
-    assert warm.counterexamples == []
-
-
-def test_fusion_stage1_cache_under_smaller_max_nodes():
-    term = [parse_term("(\\x.\\y.x) (\\z.z)")]
-    cache = {}
-    check_fusion_row("(RE)I.III", term, fuel=5000, stage1_cache=cache)
-    warm = check_fusion_row("(RE)I.III", term, fuel=5000, max_nodes=0,
-                            stage1_cache=cache)
-    cold = check_fusion_row("(RE)I.III", term, fuel=5000, max_nodes=0)
-    assert warm.to_json() == cold.to_json()
 
 
 def _sig_eq(a, b):
@@ -246,22 +212,46 @@ def test_compare_corpus_aggregates_and_reports():
     assert blob["n"] == len(corpus)
 
 
-def test_compare_corpus_process_pool_matches_serial():
-    corpus = SMALL_CORPUS + [parse_term("x (x ((\\a.a) u))"),
-                             parse_term("(\\x.y) #Omega")]
-    serial = compare_corpus("no", "hr", corpus, fuel=2000)
-    pooled = compare_corpus("no", "hr", corpus, fuel=2000, processes=2)
+POOL_CORPUS = SMALL_CORPUS + [parse_term(s) for s in (
+    "x (x ((\\a.a) u))",
+    "(\\x.y) #Omega",
+    "(\\x.y) (\\k.k #Omega)",
+)]
+
+
+@pytest.mark.parametrize("driver, a, b", [
+    pytest.param(compare_corpus, "no", "hr", id="compare_corpus"),
+    pytest.param(check_absorption, "ao", "bn", id="check_absorption"),
+])
+def test_process_pool_matches_serial(driver, a, b):
+    serial = driver(a, b, POOL_CORPUS, fuel=2000)
+    pooled = driver(a, b, POOL_CORPUS, fuel=2000, processes=2)
     assert pooled.to_json() == serial.to_json()
     assert serial.counterexamples
 
 
-def test_absorption_process_pool_matches_serial():
-    corpus = SMALL_CORPUS + [parse_term("(\\x.y) #Omega"),
-                             parse_term("(\\x.y) (\\k.k #Omega)")]
-    serial = check_absorption("ao", "bn", corpus, fuel=2000)
-    pooled = check_absorption("ao", "bn", corpus, fuel=2000, processes=2)
-    assert pooled.to_json() == serial.to_json()
-    assert serial.counterexamples
+DRIVERS = {
+    "compare_corpus": lambda terms: compare_corpus("no", "hr", terms, fuel=300),
+    "check_absorption": lambda terms: check_absorption(
+        "ao", "bn", terms, fuel=300),
+    "check_fusion_row": lambda terms: check_fusion_row(
+        "byValue", terms, fuel=300),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_verdicts_ignore_corpus_order_and_chunking(driver, data):
+    run = DRIVERS[driver]
+    terms = data.draw(st.lists(closed_terms(8), min_size=1, max_size=8))
+    whole = run(terms).verdicts
+    shuffled = data.draw(st.permutations(terms))
+    assert run(shuffled).verdicts == whole
+    cut = data.draw(st.integers(0, len(terms)))
+    chunks = Counter(run(terms[:cut]).verdicts)
+    chunks.update(run(terms[cut:]).verdicts)
+    assert dict(chunks) == whole
 
 
 def test_factorial_term_group_routing():
