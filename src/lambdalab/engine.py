@@ -5,9 +5,11 @@ One machine runs everything. A strategy compiles to a small graph of
 self-referential layer; a hybrid is a hybrid layer over a subsidiary
 layer), and the machine walks the term with an explicit frame stack so
 that deep or divergent terms can never overflow the Python stack. A
-readback encoding runs its eval stage first, then a readback walk over
-the intermediate result, both drawing on the same fuel budget and
-appending to the same trace.
+readback encoding compiles the same way: its readback pass is one more
+layer, whose body and operand slots recurse into the eval layer, into
+itself, or into both in turn, so a staged run is the eval walk followed
+by the readback layer on the same stack, drawing on one fuel budget and
+appending to one trace.
 
 Each beta contraction costs one unit of fuel and is recorded as a
 TraceEvent carrying the redex's address in the whole term at the moment
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .notation import (
-    HybridSpec,
     ReadbackSpec,
     StrategySpec,
     UniformSpec,
@@ -118,9 +119,15 @@ class DerivationNode:
 
 class _Layer:
     """Recursion behaviour of one evaluator: each slot is None for the
-    identity or the layer to recurse with."""
+    identity or the layer to recurse with. Only readback layers set
+    la_then and ar2_then: the layer that walks an abstraction body or a
+    neutral's operand again once la or ar2 has finished with it."""
 
-    __slots__ = ("la", "ar1", "ar2", "op1", "op2")
+    __slots__ = ("la", "ar1", "ar2", "op1", "op2", "la_then", "ar2_then")
+
+    def __init__(self):
+        self.la_then = None
+        self.ar2_then = None
 
 
 def _build_layer(spec) -> _Layer:
@@ -141,6 +148,32 @@ def _build_layer(spec) -> _Layer:
     h.op1 = sub
     h.op2 = h
     return h
+
+
+# The la of a readback layer's operator position: an abstraction there
+# heads a redex, which the eval stage should have contracted.
+_REDEX_HEAD = _Layer()
+
+
+def _readback_layer(spec: ReadbackSpec, ev: _Layer) -> _Layer:
+    """The readback pass of spec over its eval layer ev. A slot I is the
+    identity, E is ev, R is the readback layer and (RE) is ev followed
+    by the readback layer. Operators are read back by an operator-
+    position twin that refuses abstractions, so an operator walk never
+    returns one and no contraction is reachable."""
+    rb = _Layer()
+    head = _Layer()
+    pick = {"I": None, "E": ev, "R": rb, "RE": ev}
+    rb.la = pick[spec.la]
+    rb.la_then = rb if spec.la == "RE" else None
+    head.la = _REDEX_HEAD
+    for layer in (rb, head):
+        layer.ar1 = None
+        layer.ar2 = pick[spec.ar2]
+        layer.ar2_then = rb if spec.ar2 == "RE" else None
+        layer.op1 = head
+        layer.op2 = None
+    return rb
 
 
 _RUNNABLE = (
@@ -174,7 +207,8 @@ class _OutOfFuel(Exception):
 
 # Frame opcodes. EV walks a term under a layer; AP1 dispatches on the
 # evaluated operator; CON2 contracts once the operand premise is done;
-# NEU1/NEU2 finish a neutral. RB and friends drive the readback walk.
+# NEU1/NEU2 finish a neutral; THEN walks the value just produced again
+# under a second layer, which is how a readback layer follows eval.
 _EV = 0
 _MKLAM = 1
 _AP1 = 2
@@ -182,10 +216,7 @@ _CON2 = 3
 _NEU1 = 4
 _NEU2 = 5
 _SETOUT = 6
-_RB = 7
-_RBAFTER = 8
-_RBAPP = 9
-_RBAPP2 = 10
+_THEN = 7
 
 
 class _Machine:
@@ -199,9 +230,6 @@ class _Machine:
         self.frames = []
         self.values = []
         self._ptup = {}
-        self.rb_la = None
-        self.rb_ar2 = None
-        self.ev_layer = None
 
     def path_tuple(self, path):
         # Paths live on the frame stack as cons cells (letter, parent);
@@ -243,20 +271,6 @@ class _Machine:
             self.events.append(event)
         return contractum, event
 
-    def push_rb_slot(self, slot, term, path, sink):
-        # Slot actions of the readback walk: I skips, E runs the eval
-        # stage on the subterm, R recurses, RE does both at one address.
-        frames = self.frames
-        if slot == "I":
-            self.values.append(term)
-        elif slot == "E":
-            frames.append((_EV, self.ev_layer, term, path, sink))
-        elif slot == "R":
-            frames.append((_RB, term, path, sink))
-        else:
-            frames.append((_RBAFTER, path, sink))
-            frames.append((_EV, self.ev_layer, term, path, sink))
-
     def run(self):
         frames = self.frames
         values = self.values
@@ -284,6 +298,11 @@ class _Machine:
                             leaf = DerivationNode("ABS", t)
                             leaf.output = t
                             sink.append(leaf)
+                    elif la is _REDEX_HEAD:
+                        raise EngineError(
+                            "readback applied to non-intermediate form: "
+                            f"{t!r} heads a redex"
+                        )
                     else:
                         node = None
                         if trees:
@@ -291,7 +310,11 @@ class _Machine:
                             sink.append(node)
                             sink = node.premises
                         frames.append((_MKLAM, t, node))
-                        frames.append((_EV, la, t.body, ("B", path), sink))
+                        path = ("B", path)
+                        then = layer.la_then
+                        if then is not None:
+                            frames.append((_THEN, then, path, sink))
+                        frames.append((_EV, la, t.body, path, sink))
                 else:
                     node = None
                     if trees:
@@ -350,79 +373,9 @@ class _Machine:
                     node.output = out
             elif op == _SETOUT:
                 frame[1].output = values[-1]
-            elif op == _RB:
-                _, t, path, sink = frame
-                if len(frames) > max_frames:
-                    raise ResourceLimitError("machine frame stack limit exceeded")
-                cls = t.__class__
-                if cls is Var:
-                    values.append(t)
-                    if trees:
-                        leaf = DerivationNode("VAR", t)
-                        leaf.output = t
-                        sink.append(leaf)
-                elif cls is Lam:
-                    if self.rb_la == "I":
-                        values.append(t)
-                        if trees:
-                            leaf = DerivationNode("ABS", t)
-                            leaf.output = t
-                            sink.append(leaf)
-                    else:
-                        node = None
-                        if trees:
-                            node = DerivationNode("ABS", t)
-                            sink.append(node)
-                            sink = node.premises
-                        frames.append((_MKLAM, t, node))
-                        self.push_rb_slot(self.rb_la, t.body, ("B", path), sink)
-                else:
-                    if t.operator.__class__ is Lam:
-                        raise EngineError(
-                            "readback applied to non-intermediate form: "
-                            f"{t.operator!r} heads a redex"
-                        )
-                    node = None
-                    if trees:
-                        node = DerivationNode("NEU", t)
-                        sink.append(node)
-                        sink = node.premises
-                    frames.append((_RBAPP, t, path, node))
-                    frames.append((_RB, t.operator, ("F", path), sink))
-            elif op == _RBAFTER:
-                _, path, sink = frame
-                v = values.pop()
-                frames.append((_RB, v, path, sink))
-            elif op == _RBAPP:
-                _, appnode, path, node = frame
-                mprime = values.pop()
-                if mprime.__class__ is Lam:
-                    raise EngineError(
-                        "readback applied to non-intermediate form: "
-                        "operator read back to an abstraction"
-                    )
-                if self.rb_ar2 == "I":
-                    if mprime is appnode.operator:
-                        out = appnode
-                    else:
-                        out = App(mprime, appnode.operand)
-                    values.append(out)
-                    if node is not None:
-                        node.output = out
-                else:
-                    frames.append((_RBAPP2, appnode, mprime, node))
-                    sink = node.premises if node is not None else None
-                    self.push_rb_slot(self.rb_ar2, appnode.operand, ("A", path), sink)
-            else:  # _RBAPP2
-                _, appnode, mprime, node = frame
-                nprime = values.pop()
-                if mprime is appnode.operator and nprime is appnode.operand:
-                    out = appnode
-                else:
-                    out = App(mprime, nprime)
-                values.append(out)
-                if node is not None:
-                    node.output = out
+            else:  # _THEN
+                _, layer, path, sink = frame
+                frames.append((_EV, layer, values.pop(), path, sink))
         return values.pop()
 
     def _contract_go(self, layer, lam, operand, path, node):
@@ -450,47 +403,42 @@ class _Machine:
         else:
             self.frames.append((_NEU2, appnode, mpp, node))
             sink = node.premises if node is not None else None
-            self.frames.append((_EV, ar2, appnode.operand, ("A", path), sink))
+            path = ("A", path)
+            then = layer.ar2_then
+            if then is not None:
+                self.frames.append((_THEN, then, path, sink))
+            self.frames.append((_EV, ar2, appnode.operand, path, sink))
 
 
 def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
                  trees=False, stage1=None):
-    """Shared driver. A converged eval-stage Outcome passed as stage1
-    stands in for a readback's eval stage: its fuel is spent and its
-    events open the trace."""
+    """Shared driver. A readback encoding runs in one walk: its readback
+    layer waits in a THEN frame under the eval stage. A converged
+    eval-stage Outcome passed as stage1 stands in for that stage: its
+    fuel is spent, its events open the trace, and the readback layer
+    starts from its result."""
     spent = 0 if stage1 is None else stage1.fuel_used
     machine = _Machine(fuel - spent, record_trace, max_nodes, max_frames, trees)
     if stage1 is not None and machine.record:
         machine.events.extend(stage1.trace)
-    eval_sink = [] if trees else None
-    rb_sink = [] if trees else None
+    frames = machine.frames
+    eval_sink, rb_sink = ([], []) if trees else (None, None)
+    if isinstance(spec, ReadbackSpec):
+        ev = _build_layer(spec.ev)
+        rb = _readback_layer(spec, ev)
+        if stage1 is None:
+            frames.append((_THEN, rb, None, rb_sink))
+            frames.append((_EV, ev, term, None, eval_sink))
+        else:
+            frames.append((_EV, rb, stage1.result, None, rb_sink))
+    else:
+        frames.append((_EV, _build_layer(spec), term, None, eval_sink))
     exhausted = False
     result = None
-    if isinstance(spec, ReadbackSpec):
-        machine.ev_layer = _build_layer(spec.ev)
-        machine.rb_la = spec.la
-        machine.rb_ar2 = spec.ar2
-        if stage1 is None:
-            machine.frames.append((_EV, machine.ev_layer, term, None, eval_sink))
-            try:
-                intermediate = machine.run()
-            except _OutOfFuel:
-                exhausted = True
-        else:
-            intermediate = stage1.result
-        if not exhausted:
-            machine.frames.append((_RB, intermediate, None, rb_sink))
-            try:
-                result = machine.run()
-            except _OutOfFuel:
-                exhausted = True
-    else:
-        layer = _build_layer(spec)
-        machine.frames.append((_EV, layer, term, None, eval_sink))
-        try:
-            result = machine.run()
-        except _OutOfFuel:
-            exhausted = True
+    try:
+        result = machine.run()
+    except _OutOfFuel:
+        exhausted = True
     if machine.record:
         trace = tuple(machine.events)
     else:
@@ -503,10 +451,7 @@ def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
     if trees:
         if exhausted:
             raise EngineError("fuel exhausted before the derivation completed")
-        if isinstance(spec, ReadbackSpec):
-            roots = (eval_sink[0], rb_sink[0])
-        else:
-            roots = (eval_sink[0],)
+        roots = tuple(sink[0] for sink in (eval_sink, rb_sink) if sink)
     return outcome, roots
 
 

@@ -12,17 +12,15 @@ over a term list, check_absorption tests whether running one strategy
 after another changes anything, and check_fusion_row tests a staged
 readback against its fused hybrid. Each is a per-term entry function
 mapped over the corpus by one loop, _map_corpus, which aggregates the
-verdicts in corpus order and, for compare_corpus and check_absorption,
-can spread the terms over a process pool. demo_factorial runs the
-factorial programs that exercise every named strategy. event_json and
-trace_json render events and runs for JSON output.
+verdicts in corpus order. demo_factorial runs the factorial programs
+that exercise every named strategy. event_json and trace_json render
+events and runs for JSON output.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import repeat
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -50,7 +48,6 @@ from .terms import (
     builtins,
     churchN,
     classify,
-    parse_term,
     print_term,
 )
 
@@ -344,39 +341,19 @@ def canonicalize(trace) -> tuple[TraceEvent, ...]:
     return tuple(out)
 
 
-def _map_corpus(report: CorpusReport, entry, args, corpus,
-                processes=None) -> CorpusReport:
+def _map_corpus(report: CorpusReport, entry, args, corpus) -> CorpusReport:
     """Run entry(term, *args) -> (verdict kind, example or None) on every
-    term and aggregate into report in corpus order.
-
-    Entries are independent pure computations; with processes > 1 they
-    run in a process pool, on terms shipped as text, and the report is
-    identical either way."""
-    if processes and processes > 1:
-        import concurrent.futures
-
-        texts = [print_term(t) for t in corpus]
-        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
-            results = list(pool.map(_corpus_item, repeat(entry),
-                                    repeat(args), texts))
-    else:
-        results = (_corpus_item(entry, args, t) for t in corpus)
-    for kind, example in results:
+    term and aggregate into report in corpus order. A term that outgrows
+    its resource limits gets the resource verdict."""
+    for term in corpus:
+        try:
+            kind, example = entry(term, *args)
+        except ResourceLimitError:
+            kind, example = "resource", None
         report.verdicts[kind] = report.verdicts.get(kind, 0) + 1
         if example is not None and len(report.counterexamples) < report.cap:
             report.counterexamples.append(example)
     return report
-
-
-def _corpus_item(entry, args, term):
-    """One term through a driver's entry; as the pool worker it gets the
-    term as text."""
-    if isinstance(term, str):
-        term = parse_term(term)
-    try:
-        return entry(term, *args)
-    except ResourceLimitError:
-        return "resource", None
 
 
 def _trace_example(term, kind, witness) -> dict:
@@ -398,18 +375,14 @@ def _compare_entry(term, a, b, fuel, max_nodes, counterexample_kinds):
 
 def compare_corpus(a, b, corpus, fuel=100000, *, seed=None, cap=10,
                    max_nodes=DEFAULT_MAX_NODES,
-                   counterexample_kinds=(DIFFER,),
-                   processes=None) -> CorpusReport:
-    """compare() over a term list, aggregated into a CorpusReport.
-
-    processes > 1 spreads the terms over a process pool; the report is
-    the same."""
+                   counterexample_kinds=(DIFFER,)) -> CorpusReport:
+    """compare() over a term list, aggregated into a CorpusReport."""
     a = parse_spec(a) if isinstance(a, str) else a
     b = parse_spec(b) if isinstance(b, str) else b
     report = CorpusReport(print_spec(a), print_spec(b), seed, fuel,
                           len(corpus), cap=cap)
     args = (a, b, fuel, max_nodes, tuple(counterexample_kinds))
-    return _map_corpus(report, _compare_entry, args, corpus, processes)
+    return _map_corpus(report, _compare_entry, args, corpus)
 
 
 ABSORBED = "absorbed"
@@ -424,22 +397,20 @@ def _status_summary(outcome: Outcome) -> dict:
 
 
 def check_absorption(outer, inner, corpus, fuel=100000, *, seed=None, cap=10,
-                     max_nodes=DEFAULT_MAX_NODES,
-                     processes=None) -> CorpusReport:
+                     max_nodes=DEFAULT_MAX_NODES) -> CorpusReport:
     """Does running outer after inner equal running outer alone?
 
     The composition threads one fuel budget through both runs, so an
     inner run that exhausts it leaves the composition exhausted. A term
     counts absorbed when both sides converge to alpha-equal results,
     violated when results differ or exactly one side converges, and
-    inconclusive when both run out of fuel. processes > 1 spreads the
-    terms over a process pool; the report is the same."""
+    inconclusive when both run out of fuel."""
     outer = parse_spec(outer) if isinstance(outer, str) else outer
     inner = parse_spec(inner) if isinstance(inner, str) else inner
     report = CorpusReport(print_spec(outer), print_spec(inner), seed, fuel,
                           len(corpus), cap=cap)
     args = (outer, inner, fuel, max_nodes)
-    return _map_corpus(report, _absorption_entry, args, corpus, processes)
+    return _map_corpus(report, _absorption_entry, args, corpus)
 
 
 def _absorption_entry(term, outer, inner, fuel, max_nodes):

@@ -9,13 +9,16 @@ from lambdalab import (
     FUEL_EXHAUSTED,
     EngineError,
     Lam,
+    ReadbackSpec,
     Var,
     alpha_eq,
+    catalogue,
     derivation_forest,
     derivation_tree,
     evaluate,
     parse_spec,
     parse_term,
+    print_spec,
     print_term,
     reconstruct_sequence,
     sequence_from_tree,
@@ -84,27 +87,50 @@ def test_engine_refuses_spurious_spec():
     assert "spurious" in str(exc.value)
 
 
-def test_readback_staging_concatenates():
-    spec = parse_spec("byValue")
-    term = parse_term("(\\x.\\y.(\\a.a) y) ((\\b.b) (\\c.c))")
-    full = evaluate(spec, term)
-    assert full.status == CONVERGED
-    stage1 = evaluate(spec.ev, term)
-    staged = resume_readback(spec, stage1, 100000)
-    assert staged.trace == full.trace
-    assert staged.trace[:len(stage1.trace)] == stage1.trace
-    assert alpha_eq(staged.result, full.result)
-    assert staged.fuel_used == full.fuel_used
-    # Stage two step indices continue where stage one stopped.
-    assert [e.step_index for e in full.trace] == list(range(len(full.trace)))
-    assert len(stage1.trace) < len(full.trace)
-    # Under every smaller budget too, including ones the eval stage or
-    # the readback walk runs out of.
-    for fuel in range(full.fuel_used + 1):
-        resumed = resume_readback(spec, evaluate(spec.ev, term, fuel), fuel)
-        assert resumed == evaluate(spec, term, fuel)
-    with pytest.raises(EngineError):
-        resume_readback(spec, stage1, stage1.fuel_used - 1)
+READBACK_ROWS = tuple(row.spec for row in catalogue()
+                      if isinstance(row.spec, ReadbackSpec))
+
+# The first term evaluates to an abstraction, the second to a neutral,
+# so between them every readback row contracts in both stages.
+STAGING_TERMS = ("(\\x.\\y.(\\a.a) y) ((\\b.b) (\\c.c))",
+                 "(\\w.w) x (\\z.(\\a.a) z) ((\\b.b) y)")
+
+
+@pytest.mark.parametrize("spec", READBACK_ROWS, ids=print_spec)
+def test_readback_staging_concatenates(spec):
+    readback_steps = 0
+    for source in STAGING_TERMS:
+        term = parse_term(source)
+        full = evaluate(spec, term)
+        assert full.status == CONVERGED
+        stage1 = evaluate(spec.ev, term)
+        assert stage1.fuel_used > 0
+        staged = resume_readback(spec, stage1, 100000)
+        assert staged.trace == full.trace
+        assert staged.trace[:len(stage1.trace)] == stage1.trace
+        assert alpha_eq(staged.result, full.result)
+        assert staged.fuel_used == full.fuel_used
+        # Stage two step indices continue where stage one stopped.
+        assert [e.step_index for e in full.trace] == list(range(len(full.trace)))
+        readback_steps += len(full.trace) - len(stage1.trace)
+        # Under every smaller budget too, including ones the eval stage or
+        # the readback walk runs out of.
+        for fuel in range(full.fuel_used + 1):
+            resumed = resume_readback(spec, evaluate(spec.ev, term, fuel), fuel)
+            assert resumed == evaluate(spec, term, fuel)
+        with pytest.raises(EngineError):
+            resume_readback(spec, stage1, stage1.fuel_used - 1)
+    assert readback_steps > 0
+
+
+@pytest.mark.parametrize("fuel", range(6))
+def test_readback_refuses_a_redex_before_spending_fuel(fuel):
+    # bn leaves the operand's redex for byValue's eval stage to contract;
+    # a readback resumed from it must refuse the redex before walking
+    # its operator, whatever fuel is left.
+    term = parse_term("x ((\\a.(\\b.b) a) y)")
+    with pytest.raises(EngineError, match="heads a redex"):
+        resume_readback(parse_spec("byValue"), evaluate("bn", term, fuel), fuel)
 
 
 def test_derivation_tree_rejects_readback_spec():
@@ -183,16 +209,18 @@ def test_replay_reaches_result(spec, term):
     assert alpha_eq(states[-1], outcome.result)
 
 
-@settings(max_examples=80)
-@given(st.sampled_from(("bn", "bv", "ao", "he", "IIS", "SIS", "no", "sn", "ha")),
+@settings(max_examples=200)
+@given(st.sampled_from(("bn", "bv", "ao", "he", "IIS", "SIS", "no", "sn", "ha")
+                       + READBACK_ROWS),
        closed_terms(max_leaves=12))
 def test_tree_sequence_matches_trace(spec, term):
     outcome = evaluate(spec, term, fuel=200)
     if outcome.status != CONVERGED:
         return
-    tree = derivation_tree(spec, term, fuel=200)
-    assert sequence_from_tree(tree) == outcome.trace
-    assert alpha_eq(tree.output, outcome.result)
+    forest = derivation_forest(spec, term, fuel=200)
+    joined = sum((sequence_from_tree(tree) for tree in forest), ())
+    assert joined == outcome.trace
+    assert alpha_eq(forest[-1].output, outcome.result)
 
 
 @settings(max_examples=120)

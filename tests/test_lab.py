@@ -19,6 +19,7 @@ from lambdalab import (
     FormClass,
     NotationError,
     ReadbackSpec,
+    TraceEvent,
     alpha_eq,
     canonicalize,
     catalogue,
@@ -192,6 +193,24 @@ def test_redex_only_event_equality_matches_full_check(corpus_1337,
     assert {got for got, _ in compared} == {True, False}
 
 
+def _event(position, redex):
+    redex = parse_term(redex)
+    return TraceEvent(0, position, redex, evaluate("bn", redex, 1).result)
+
+
+@pytest.mark.parametrize("e, f, equal", [
+    pytest.param(_event(("A",), "(\\a.a) u"), _event(("A",), "(\\a.a) v"),
+                 False, id="different-redexes"),
+    pytest.param(_event(("A",), "(\\a.a) u"), _event(("A",), "(\\b.b) u"),
+                 True, id="alpha-renamed-redexes"),
+    pytest.param(_event(("A",), "(\\a.a) u"), _event(("F",), "(\\a.a) u"),
+                 False, id="different-addresses"),
+])
+def test_events_equal_compares_address_and_redex(e, f, equal):
+    assert lab._events_equal(e, f) is equal
+    assert lab._events_equal(f, e) is equal
+
+
 def test_fusion_row_rejects_invalid_readback():
     with pytest.raises(NotationError):
         check_fusion_row("II.III", SMALL_CORPUS)
@@ -210,24 +229,6 @@ def test_compare_corpus_aggregates_and_reports():
     assert set(blob) == {"a", "b", "seed", "fuel", "n", "verdicts",
                          "counterexamples"}
     assert blob["n"] == len(corpus)
-
-
-POOL_CORPUS = SMALL_CORPUS + [parse_term(s) for s in (
-    "x (x ((\\a.a) u))",
-    "(\\x.y) #Omega",
-    "(\\x.y) (\\k.k #Omega)",
-)]
-
-
-@pytest.mark.parametrize("driver, a, b", [
-    pytest.param(compare_corpus, "no", "hr", id="compare_corpus"),
-    pytest.param(check_absorption, "ao", "bn", id="check_absorption"),
-])
-def test_process_pool_matches_serial(driver, a, b):
-    serial = driver(a, b, POOL_CORPUS, fuel=2000)
-    pooled = driver(a, b, POOL_CORPUS, fuel=2000, processes=2)
-    assert pooled.to_json() == serial.to_json()
-    assert serial.counterexamples
 
 
 DRIVERS = {
