@@ -7,6 +7,10 @@ equivalence where two contractions are independent exactly when their
 addresses are disjoint, neither a prefix of the other; that is what
 reordering work between the operands of a neutral looks like in a trace.
 
+Every grade comes from one matcher, _match: a pairwise scan finds the
+first step where the traces part, then a trie over one trace's addresses
+matches each remaining event of the other to its earliest comparable one.
+
 On top of that sit the corpus drivers: compare_corpus runs compare()
 over a term list, check_absorption tests whether running one strategy
 after another changes anything, and check_fusion_row tests a staged
@@ -150,32 +154,22 @@ def _events_equal(e: TraceEvent, f: TraceEvent) -> bool:
     return e.position == f.position and alpha_eq(e.redex, f.redex)
 
 
-def _first_mismatch(ta, tb):
-    """Index of the first pairwise difference, or None for equal traces."""
-    for i, (e, f) in enumerate(zip(ta, tb)):
-        if not _events_equal(e, f):
-            return i
-    if len(ta) != len(tb):
-        return min(len(ta), len(tb))
-    return None
-
-
 _INF = float("inf")
 
 
 class _PositionTrie:
-    """Events of one trace indexed by address, supporting 'earliest
-    remaining event at an address comparable to p' in O(|p|)."""
+    """Events of one trace from index start on, indexed by address,
+    supporting 'earliest remaining event at an address comparable to p'
+    in O(|p|)."""
 
-    __slots__ = ("root", "nodes")
+    __slots__ = ("root",)
 
-    def __init__(self, events):
+    def __init__(self, events, start):
         self.root = _TrieNode()
-        self.nodes = []
-        for idx, e in enumerate(events):
+        for idx in range(start, len(events)):
             node = self.root
             node.submin = min(node.submin, idx)
-            for letter in e.position:
+            for letter in events[idx].position:
                 child = node.children.get(letter)
                 if child is None:
                     child = _TrieNode()
@@ -183,7 +177,6 @@ class _PositionTrie:
                 node = child
                 node.submin = min(node.submin, idx)
             node.queue.append(idx)
-            self.nodes.append(node)
 
     def first_comparable(self, position):
         """Smallest remaining index whose address is a prefix of
@@ -224,59 +217,63 @@ class _TrieNode:
         self.submin = _INF
 
 
-def _first_conflict(ta, tb, skip_unmatched):
-    """Match each event of ta, in order, to the earliest remaining event
-    of tb at a comparable address, which must be the same event.
+def _match(ta, tb, skip_unmatched):
+    """The one trace matcher: returns (i, pair).
 
-    Returns the first failing pair (e, f), or None. An event with no
-    comparable counterpart left fails with f None or, for fuel-cut
-    prefixes (skip_unmatched), is left to the other run's future."""
-    trie = _PositionTrie(tb)
-    for e in ta:
+    i is the first step at which the traces differ pairwise, or None
+    when they are equal. From there each event of ta, in order, is
+    matched to the earliest remaining event of tb at a comparable
+    address, which must be the same event; pair is the first (e, f)
+    that fails, or None. An event with no comparable counterpart left
+    fails with f None or, for fuel-cut prefixes (skip_unmatched), is
+    left to the other run's future. The shared prefix always matches
+    itself, so the matching starts at i."""
+    n = min(len(ta), len(tb))
+    i = 0
+    while i < n and _events_equal(ta[i], tb[i]):
+        i += 1
+    if i == len(ta) == len(tb):
+        return None, None
+    trie = _PositionTrie(tb, i)
+    for e in ta[i:]:
         fc = trie.first_comparable(e.position)
         if fc is _INF:
             if skip_unmatched:
                 continue
-            return e, None
+            return i, (e, None)
         f = tb[fc]
         if not _events_equal(e, f):
-            return e, f
+            return i, (e, f)
         trie.delete(fc, f.position)
-    return None
-
-
-def _trace_equivalent(ta, tb) -> bool:
-    """Mazurkiewicz equivalence: tb is a reordering of ta in which only
-    contractions at disjoint addresses have swapped."""
-    return len(ta) == len(tb) and _first_conflict(ta, tb, False) is None
+    return i, None
 
 
 def _compare_outcomes(oa: Outcome, ob: Outcome) -> CompareVerdict:
     ta, tb = oa.trace, ob.trace
     if oa.status == CONVERGED and ob.status == CONVERGED:
-        results_match = alpha_eq(oa.result, ob.result)
-        mismatch = _first_mismatch(ta, tb)
-        if not results_match:
-            i = mismatch if mismatch is not None else min(len(ta), len(tb))
+        i, pair = _match(ta, tb, False)
+        if not alpha_eq(oa.result, ob.result):
+            if i is None:
+                i = len(ta)
             ea = ta[i] if i < len(ta) else None
             eb = tb[i] if i < len(tb) else None
             return CompareVerdict(DIFFER, (i, (ea, eb)))
-        if mismatch is None:
+        if i is None:
             return CompareVerdict(ONE_STEP_EQUAL)
-        if _trace_equivalent(ta, tb):
+        if pair is None and len(ta) == len(tb):
             return CompareVerdict(EQUAL_MCR)
         return CompareVerdict(BIG_STEP_EQUAL_ONLY)
     if oa.status != ob.status:
         return CompareVerdict(INCONCLUSIVE)
-    # both exhausted: every event up to the shared budget is on record
-    if _first_mismatch(ta, tb) is None:
+    # both exhausted: every event up to the shared budget is on record.
+    # Matching tb against ta would add nothing: when every event of ta
+    # meets its partner or no comparable event, tb's events replay the
+    # same matching in their own order.
+    i, pair = _match(ta, tb, True)
+    if i is None:
         return CompareVerdict(BOTH_EXHAUSTED_EQUAL_PREFIX)
-    pair = _first_conflict(ta, tb, True)
     if pair is None:
-        pair = _first_conflict(tb, ta, True)
-        if pair is None:
-            return CompareVerdict(BOTH_EXHAUSTED_MCR_PREFIX)
-        pair = pair[::-1]
+        return CompareVerdict(BOTH_EXHAUSTED_MCR_PREFIX)
     return CompareVerdict(DIFFER, (pair[0].step_index, pair))
 
 
@@ -298,47 +295,6 @@ def compare(a, b, term, fuel=100000, *,
     oa = evaluate(a, term, fuel, max_nodes=max_nodes, max_frames=max_frames)
     ob = evaluate(b, term, fuel, max_nodes=max_nodes, max_frames=max_frames)
     return _compare_outcomes(oa, ob)
-
-
-_MOVE_RANK = {"F": 0, "A": 1, "B": 2}
-
-
-def _pos_key(position):
-    return tuple(_MOVE_RANK[letter] for letter in position)
-
-
-def _dependent(p, q):
-    if len(p) > len(q):
-        p, q = q, p
-    return q[: len(p)] == p
-
-
-def canonicalize(trace) -> tuple[TraceEvent, ...]:
-    """Dependency-respecting reordering that is lexicographically least
-    by address, with F < A < B at each move.
-
-    Contractions at non-disjoint addresses keep their original order;
-    among the currently available ones, the smallest address goes first.
-    Events are kept verbatim, so replay still works and ends in the
-    same term."""
-    remaining = list(trace)
-    out = []
-    while remaining:
-        best = None
-        best_key = None
-        for j, e in enumerate(remaining):
-            blocked = False
-            for k in range(j):
-                if _dependent(remaining[k].position, e.position):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            key = _pos_key(e.position)
-            if best is None or key < best_key:
-                best, best_key = j, key
-        out.append(remaining.pop(best))
-    return tuple(out)
 
 
 def _map_corpus(report: CorpusReport, entry, args, corpus) -> CorpusReport:
@@ -365,23 +321,23 @@ def _trace_example(term, kind, witness) -> dict:
     return {"term": _term_str(term), "verdict": kind, "witness": witness}
 
 
-def _compare_entry(term, a, b, fuel, max_nodes, counterexample_kinds):
+def _compare_entry(term, a, b, fuel, max_nodes):
     verdict = compare(a, b, term, fuel, max_nodes=max_nodes)
     example = None
-    if verdict.kind in counterexample_kinds:
+    if verdict.kind == DIFFER:
         example = _trace_example(term, verdict.kind, verdict.witness)
     return verdict.kind, example
 
 
 def compare_corpus(a, b, corpus, fuel=100000, *, seed=None, cap=10,
-                   max_nodes=DEFAULT_MAX_NODES,
-                   counterexample_kinds=(DIFFER,)) -> CorpusReport:
-    """compare() over a term list, aggregated into a CorpusReport."""
+                   max_nodes=DEFAULT_MAX_NODES) -> CorpusReport:
+    """compare() over a term list, aggregated into a CorpusReport; each
+    differ verdict is a counterexample."""
     a = parse_spec(a) if isinstance(a, str) else a
     b = parse_spec(b) if isinstance(b, str) else b
     report = CorpusReport(print_spec(a), print_spec(b), seed, fuel,
                           len(corpus), cap=cap)
-    args = (a, b, fuel, max_nodes, tuple(counterexample_kinds))
+    args = (a, b, fuel, max_nodes)
     return _map_corpus(report, _compare_entry, args, corpus)
 
 

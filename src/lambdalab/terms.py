@@ -507,7 +507,7 @@ def _tokenize(text: str):
     return toks
 
 
-def parse_term(text: str, extra_names=None) -> Term:
+def parse_term(text: str) -> Term:
     """Parse the term grammar.
 
     Syntax: variables are identifiers; `\\x.M` or `λx.M` abstracts (with
@@ -548,15 +548,12 @@ def parse_term(text: str, extra_names=None) -> Term:
                 frames[-1][-1][1].append(churchN(int(name[7:])))
                 pos += 1
                 continue
-            table = dict(_BUILTINS)
-            if extra_names:
-                table.update(extra_names)
-            if name not in table:
-                known = ", ".join(sorted(table) + ["church:<n>"])
+            if name not in _BUILTINS:
+                known = ", ".join(sorted(_BUILTINS) + ["church:<n>"])
                 raise ParseError(
                     f"unknown builtin #{name} at offset {at}; known: {known}"
                 )
-            frames[-1][-1][1].append(table[name])
+            frames[-1][-1][1].append(_BUILTINS[name])
             pos += 1
         elif kind == "lparen":
             frames.append([([], [])])

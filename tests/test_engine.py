@@ -10,9 +10,11 @@ from lambdalab import (
     EngineError,
     Lam,
     ReadbackSpec,
+    ResourceLimitError,
     Var,
     alpha_eq,
     catalogue,
+    compare,
     derivation_forest,
     derivation_tree,
     evaluate,
@@ -121,6 +123,30 @@ def test_readback_staging_concatenates(spec):
         with pytest.raises(EngineError):
             resume_readback(spec, stage1, stage1.fuel_used - 1)
     assert readback_steps > 0
+
+
+_FRAME_HUNGRY = parse_term("#Y (\\f.\\x. x (f x))")
+_BY_NAME = parse_spec("byName")
+_GUARDED_RUNS = {
+    "evaluate": lambda **kw: evaluate("no", _FRAME_HUNGRY, 1000, **kw),
+    "compare": lambda **kw: compare("no", "bn", _FRAME_HUNGRY, 1000, **kw),
+    # byName's eval stage converges; its readback unfolds the fixed point
+    "resume_readback": lambda **kw: resume_readback(
+        _BY_NAME, evaluate(_BY_NAME.ev, _FRAME_HUNGRY, 1000), 1000, **kw),
+    "derivation_forest": lambda **kw: derivation_forest(
+        "no", _FRAME_HUNGRY, 1000, **kw),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_GUARDED_RUNS))
+def test_frame_limit_stops_the_run(run):
+    with pytest.raises(ResourceLimitError,
+                       match="machine frame stack limit exceeded"):
+        _GUARDED_RUNS[run](max_frames=5)
+
+
+def test_frame_hungry_term_runs_out_of_fuel_by_default():
+    assert evaluate("no", _FRAME_HUNGRY, 1000).status == FUEL_EXHAUSTED
 
 
 @pytest.mark.parametrize("fuel", range(6))

@@ -11,17 +11,19 @@ from lambdalab import (
     BOTH_EXHAUSTED_EQUAL_PREFIX,
     BOTH_EXHAUSTED_MCR_PREFIX,
     COMPARE_KINDS,
+    CONVERGED,
     DIFFER,
     EQUAL_MCR,
+    FUEL_EXHAUSTED,
     INCONCLUSIVE,
     ONE_STEP_EQUAL,
     VIOLATED,
     FormClass,
     NotationError,
+    Outcome,
     ReadbackSpec,
     TraceEvent,
     alpha_eq,
-    canonicalize,
     catalogue,
     check_absorption,
     check_fusion_row,
@@ -31,10 +33,8 @@ from lambdalab import (
     evaluate,
     factorial_term,
     parse_term,
-    reconstruct_sequence,
 )
 from lambdalab import lab
-from lambdalab.lab import _trace_equivalent
 from lambdalab.terms import _alpha_sig
 from strategies import closed_terms
 
@@ -72,44 +72,92 @@ def test_differ_witness_points_at_first_conflict():
     assert ea is not None or eb is not None
 
 
-def test_canonicalize_moves_disjoint_work_leftward():
-    outcome = evaluate("byValue", "x (\\y.(\\a.a) u1) ((\\b.b) v1)")
-    assert [tuple(e.position) for e in outcome.trace] == [("A",), ("F", "A", "B")]
-    canon = canonicalize(outcome.trace)
-    assert [tuple(e.position) for e in canon] == [("F", "A", "B"), ("A",)]
-    assert sorted(canon, key=repr) == sorted(outcome.trace, key=repr)
-    assert canonicalize(canon) == canon
-    assert canonicalize(()) == ()
-
-
 def test_canonical_equality_decides_trace_equivalence():
-    # Canonical forms agree on the contraction sequence itself; step
-    # indices stay verbatim, so project them away before comparing.
-    def shape(trace):
-        return [(tuple(e.position), e.redex, e.contractum) for e in trace]
-
     term = parse_term("x (\\y.(\\a.a) u1) ((\\b.b) v1)")
     ta = evaluate("byValue", term).trace
     tb = evaluate("sn", term).trace
-    assert _trace_equivalent(ta, tb)
-    assert shape(canonicalize(ta)) == shape(canonicalize(tb))
+    assert lab._match(ta, tb, False) == (0, None)
+    assert lab._match(ta, ta, False) == (None, None)
     tc = evaluate("bn", term).trace
-    assert not _trace_equivalent(ta, tc)
-    assert shape(canonicalize(ta)) != shape(canonicalize(tc))
+    assert lab._match(ta, tc, False)[1] is not None
 
 
-@settings(max_examples=60)
-@given(closed_terms(max_leaves=12))
-def test_canonicalize_is_sound_on_real_traces(term):
-    outcome = evaluate("no", term, fuel=120)
-    trace = outcome.trace
-    canon = canonicalize(trace)
-    assert sorted(canon, key=repr) == sorted(trace, key=repr)
-    assert canonicalize(canon) == canon
-    assert _trace_equivalent(trace, canon)
-    states = reconstruct_sequence(term, canon)
-    if outcome.status == "converged":
-        assert alpha_eq(states[-1], outcome.result)
+_REDEXES = [parse_term(s) for s in ("(\\a.a) u", "(\\b.b) u", "(\\a.a) v")]
+_CONTRACTA = [parse_term(s) for s in ("u", "u", "v")]
+# Each redex's alpha class: the index of the first redex alpha-equal to it.
+_CLASS = [next(j for j in range(3) if alpha_eq(_REDEXES[j], r))
+          for r in _REDEXES]
+_ADDRESSES = [()] + [(x,) for x in "FAB"] + [(x, y) for x in "FAB" for y in "FAB"]
+_STEPS = st.lists(st.tuples(st.sampled_from(_ADDRESSES), st.integers(0, 2)),
+                  max_size=6)
+
+
+def _trace(steps):
+    return tuple(TraceEvent(k, p, _REDEXES[r], _CONTRACTA[r])
+                 for k, (p, r) in enumerate(steps))
+
+
+def _disjoint(p, q):
+    n = min(len(p), len(q))
+    return p[:n] != q[:n]
+
+
+def _commutes_to(sa, sb):
+    """Brute force: can swaps of adjacent events at disjoint addresses
+    turn sa into sb, alpha-equal redexes counting as the same?"""
+    start = tuple((p, _CLASS[r]) for p, r in sa)
+    goal = tuple((p, _CLASS[r]) for p, r in sb)
+    seen, todo = {start}, [start]
+    while todo:
+        t = todo.pop()
+        for j in range(len(t) - 1):
+            if _disjoint(t[j][0], t[j + 1][0]):
+                u = t[:j] + (t[j + 1], t[j]) + t[j + 2:]
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+    return goal in seen
+
+
+def _draw_pair(data):
+    sa = data.draw(_STEPS)
+    if data.draw(st.booleans()):
+        sb = data.draw(st.permutations(sa))
+        if sb and data.draw(st.booleans()):
+            j = data.draw(st.integers(0, len(sb) - 1))
+            sb[j] = (sb[j][0], data.draw(st.integers(0, 2)))
+    else:
+        sb = data.draw(_STEPS)
+    return sa, sb
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_match_decides_commutation_like_brute_force(data):
+    sa, sb = _draw_pair(data)
+    ta, tb = _trace(sa), _trace(sb)
+    result = parse_term("u")
+    verdict = lab._compare_outcomes(Outcome(CONVERGED, result, ta, len(ta)),
+                                    Outcome(CONVERGED, result, tb, len(tb)))
+    equal = verdict.kind in (ONE_STEP_EQUAL, EQUAL_MCR)
+    assert equal == _commutes_to(sa, sb)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_exhausted_differ_witness_is_ordered_a_then_b(data):
+    sa, sb = _draw_pair(data)
+    ta, tb = _trace(sa), _trace(sb)
+    verdict = lab._compare_outcomes(Outcome(FUEL_EXHAUSTED, None, ta, len(ta)),
+                                    Outcome(FUEL_EXHAUSTED, None, tb, len(tb)))
+    # The exhausted grade reads one direction only; the other must agree.
+    assert ((lab._match(ta, tb, True)[1] is None)
+            == (lab._match(tb, ta, True)[1] is None))
+    if verdict.kind == DIFFER:
+        i, (ea, eb) = verdict.witness
+        assert any(ea is e for e in ta)
+        assert any(eb is f for f in tb)
+        assert i == ea.step_index
 
 
 SMALL_CORPUS = [parse_term(s) for s in (
@@ -229,6 +277,17 @@ def test_compare_corpus_aggregates_and_reports():
     assert set(blob) == {"a", "b", "seed", "fuel", "n", "verdicts",
                          "counterexamples"}
     assert blob["n"] == len(corpus)
+
+
+@pytest.mark.parametrize("driver", [
+    lambda terms: compare_corpus("no", "bn", terms, 1000, max_nodes=50),
+    lambda terms: check_absorption("no", "bn", terms, 1000, max_nodes=50),
+    lambda terms: check_fusion_row("byValue", terms, 1000, max_nodes=50),
+], ids=["compare_corpus", "check_absorption", "check_fusion_row"])
+def test_node_limit_gives_the_resource_verdict(driver):
+    report = driver([parse_term("(\\x.x x x) (\\x.x x x)")])
+    assert report.verdicts == {"resource": 1}
+    assert report.counterexamples == []
 
 
 DRIVERS = {

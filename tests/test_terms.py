@@ -65,6 +65,13 @@ def test_parse_error_reports_offset():
         parse_term("x ? y")
 
 
+def test_parse_unknown_builtin_lists_the_known_ones():
+    with pytest.raises(ParseError) as exc:
+        parse_term("x #Nope")
+    known = ", ".join(sorted(builtins()) + ["church:<n>"])
+    assert str(exc.value) == f"unknown builtin #Nope at offset 2; known: {known}"
+
+
 def test_print_identity():
     assert print_term(Lam("x", Var("x"))) == "\\x.x"
 
