@@ -358,7 +358,7 @@ def _cmd_demo_factorial(args) -> int:
         ])
         return 0
     for row in rows:
-        mark = "ok" if row["ok"] else "MISMATCH"
+        mark = {True: "ok", False: "MISMATCH", None: "inconclusive"}[row["ok"]]
         print(f"{row['strategy']:<4} n={row['n']}: {row['status']}, {mark}")
     return 0
 

@@ -18,6 +18,21 @@ premises with A, abstraction bodies with B; the contractum stays at the
 redex's own address. That makes a trace replayable: rewriting each
 recorded redex in place, in order, reproduces the run (see
 reconstruct_sequence).
+
+A balanced hybrid over call-by-value walks the same operand objects
+again after every contraction, and they are values by then. So each run
+keeps a memo of the operand walks that returned the operand object
+itself, with the layer that walked it; the next walk of that operand
+under that layer is answered at once, as is the walk of a variable or
+of an abstraction under a layer that leaves bodies alone. That is
+exact. A walk that returns its own input contracted nothing, since
+every node it builds is new or a proper subterm of its input; so the
+walk spent no fuel, recorded no event and allocated nothing, and a
+repeat would do the same. The one way such a walk can still stop a run
+is the frame limit, so each entry keeps the deepest stack its walk
+reached, and a walk that would pass max_frames is made for real.
+Derivation-tree runs never use the memo, and neither does a readback
+(RE) operand slot, which walks its operand twice.
 """
 
 from __future__ import annotations
@@ -230,6 +245,10 @@ class _Machine:
         self.frames = []
         self.values = []
         self._ptup = {}
+        # id(operand) -> (operand, layer, depth) for an operand walk that
+        # returned its own input; the entry pins the operand alive. A
+        # later such walk of the object by another layer replaces it.
+        self._fixed = {}
 
     def path_tuple(self, path):
         # Paths live on the frame stack as cons cells (letter, parent);
@@ -276,13 +295,21 @@ class _Machine:
         values = self.values
         trees = self.trees
         max_frames = self.max_frames
+        fixed = self._fixed
+        # The deepest stack an EV frame has seen since the innermost open
+        # operand walk began; never above max_frames.
+        peak = 0
         while frames:
             frame = frames.pop()
             op = frame[0]
             if op == _EV:
                 _, layer, t, path, sink = frame
-                if len(frames) > max_frames:
-                    raise ResourceLimitError("machine frame stack limit exceeded")
+                depth = len(frames)
+                if depth > peak:
+                    if depth > max_frames:
+                        raise ResourceLimitError(
+                            "machine frame stack limit exceeded")
+                    peak = depth
                 cls = t.__class__
                 if cls is Var:
                     values.append(t)
@@ -337,37 +364,58 @@ class _Machine:
                     if node is not None:
                         node.kind = "CON"
                     ar1 = layer.ar1
+                    operand = appnode.operand
                     if ar1 is None:
-                        self._contract_go(layer, mprime, appnode.operand, path, node)
-                    else:
-                        frames.append((_CON2, layer, mprime, path, node))
-                        sink = node.premises if node is not None else None
-                        frames.append((_EV, ar1, appnode.operand, ("A", path), sink))
+                        self._contract_go(layer, mprime, operand, path, node)
+                        continue
+                    base = len(frames)
+                    if node is None:
+                        depth = self._fixed_depth(ar1, operand)
+                        if depth is not None and base + depth <= max_frames:
+                            if base + depth > peak:
+                                peak = base + depth
+                            self._contract_go(layer, mprime, operand, path, None)
+                            continue
+                    frames.append((_CON2, layer, mprime, path, node,
+                                   operand, peak, base))
+                    peak = base
+                    sink = node.premises if node is not None else None
+                    frames.append((_EV, ar1, operand, ("A", path), sink))
                 else:
                     if node is not None:
                         node.kind = "NEU"
                     op2 = layer.op2
                     if op2 is None:
-                        self._neu_ar2(layer, appnode, mprime, path, node)
+                        peak = self._neu_ar2(layer, appnode, mprime, path,
+                                             node, peak)
                     else:
                         frames.append((_NEU1, layer, appnode, path, node))
                         sink = node.premises if node is not None else None
                         frames.append((_EV, op2, mprime, ("F", path), sink))
             elif op == _CON2:
-                _, layer, lam, path, node = frame
+                _, layer, lam, path, node, operand, outer, base = frame
                 nprime = values.pop()
+                if nprime is operand and node is None:
+                    fixed[id(operand)] = (operand, layer.ar1, peak - base)
+                if outer > peak:
+                    peak = outer
                 self._contract_go(layer, lam, nprime, path, node)
             elif op == _NEU1:
                 _, layer, appnode, path, node = frame
                 mpp = values.pop()
-                self._neu_ar2(layer, appnode, mpp, path, node)
+                peak = self._neu_ar2(layer, appnode, mpp, path, node, peak)
             elif op == _NEU2:
-                _, appnode, mpp, node = frame
+                _, appnode, mpp, node, walker, outer, base = frame
                 npp = values.pop()
-                if mpp is appnode.operator and npp is appnode.operand:
-                    out = appnode
+                operand = appnode.operand
+                if npp is operand:
+                    out = appnode if mpp is appnode.operator else App(mpp, npp)
+                    if walker is not None:
+                        fixed[id(operand)] = (operand, walker, peak - base)
                 else:
                     out = App(mpp, npp)
+                if outer > peak:
+                    peak = outer
                 values.append(out)
                 if node is not None:
                     node.output = out
@@ -390,34 +438,67 @@ class _Machine:
             sink = None
         self.frames.append((_EV, layer, contractum, path, sink))
 
-    def _neu_ar2(self, layer, appnode, mpp, path, node):
+    def _fixed_depth(self, walker, operand):
+        """How deep above its start the walk of operand under walker
+        takes the stack, if that walk is known to return operand itself;
+        else None. A variable, or an abstraction under a layer that
+        leaves bodies alone, is its own value at the walk's first EV
+        frame; other operands are looked up in the memo."""
+        cls = operand.__class__
+        if cls is Var or (cls is Lam and walker.la is None):
+            return 1
+        hit = self._fixed.get(id(operand))
+        return None if hit is None or hit[1] is not walker else hit[2]
+
+    def _neu_ar2(self, layer, appnode, mpp, path, node, peak):
+        """Finish a neutral whose operator walked to mpp; returns the
+        running peak for the frames this leaves on the stack."""
         ar2 = layer.ar2
+        operand = appnode.operand
         if ar2 is None:
-            if mpp is appnode.operator:
-                out = appnode
-            else:
-                out = App(mpp, appnode.operand)
+            out = appnode if mpp is appnode.operator else App(mpp, operand)
             self.values.append(out)
             if node is not None:
                 node.output = out
-        else:
-            self.frames.append((_NEU2, appnode, mpp, node))
-            sink = node.premises if node is not None else None
-            path = ("A", path)
-            then = layer.ar2_then
-            if then is not None:
-                self.frames.append((_THEN, then, path, sink))
-            self.frames.append((_EV, ar2, appnode.operand, path, sink))
+            return peak
+        frames = self.frames
+        base = len(frames)
+        then = layer.ar2_then
+        # Neither derivation trees nor a readback (RE) slot, which walks
+        # its operand twice, use the memo.
+        walker = None
+        if then is None and node is None:
+            depth = self._fixed_depth(ar2, operand)
+            if depth is not None and base + depth <= self.max_frames:
+                out = appnode if mpp is appnode.operator else App(mpp, operand)
+                self.values.append(out)
+                return max(peak, base + depth)
+            walker = ar2
+        frames.append((_NEU2, appnode, mpp, node, walker, peak, base))
+        sink = node.premises if node is not None else None
+        path = ("A", path)
+        if then is not None:
+            frames.append((_THEN, then, path, sink))
+        frames.append((_EV, ar2, operand, path, sink))
+        return base
 
 
 def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
                  trees=False, stage1=None):
     """Shared driver. A readback encoding runs in one walk: its readback
-    layer waits in a THEN frame under the eval stage. A converged
-    eval-stage Outcome passed as stage1 stands in for that stage: its
-    fuel is spent, its events open the trace, and the readback layer
-    starts from its result."""
-    spent = 0 if stage1 is None else stage1.fuel_used
+    layer waits in a THEN frame under the eval stage. An eval-stage
+    Outcome passed as stage1 stands in for that stage: its fuel is
+    spent, its events open the trace, and the readback layer starts from
+    its result. An unconverged stage1 is returned as it is."""
+    if fuel < 0:
+        raise EngineError("fuel budget must be nonnegative")
+    spent = 0
+    if stage1 is not None:
+        if stage1.status != CONVERGED:
+            return stage1, None
+        spent = stage1.fuel_used
+        if spent > fuel:
+            raise EngineError("the eval stage spent more than the fuel budget")
     machine = _Machine(fuel - spent, record_trace, max_nodes, max_frames, trees)
     if stage1 is not None and machine.record:
         machine.events.extend(stage1.trace)
@@ -467,8 +548,6 @@ def evaluate(spec, term, fuel=DEFAULT_FUEL, *, record_trace=True,
     """
     spec = _coerce_spec(spec)
     term = _coerce_term(term)
-    if fuel < 0:
-        raise EngineError("fuel budget must be nonnegative")
     outcome, _ = _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames)
     return outcome
 
@@ -483,10 +562,6 @@ def resume_readback(spec: ReadbackSpec, stage1: Outcome, fuel: int, *,
     readback walk spends what the eval stage left, its step indices
     continue the eval stage's, and the trace (recorded when stage1 has
     one) covers both stages. An unconverged stage1 is the answer."""
-    if stage1.status != CONVERGED:
-        return stage1
-    if stage1.fuel_used > fuel:
-        raise EngineError("the eval stage spent more than the fuel budget")
     outcome, _ = _run_machine(spec, None, fuel, stage1.trace is not None,
                               max_nodes, max_frames, stage1=stage1)
     return outcome

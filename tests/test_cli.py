@@ -146,6 +146,19 @@ def test_demo_factorial_single_row(capsys):
     assert "ok" in out
 
 
+def test_demo_factorial_out_of_fuel_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "demo-factorial", "-s", "no", "--n", "3",
+                       "--fuel", "40")
+    assert code == 0
+    assert out.splitlines() == ["no   n=3: fuel-exhausted, inconclusive"]
+    code, out, _ = run(capsys, "demo-factorial", "-s", "no", "--n", "3",
+                       "--fuel", "40", "--json")
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["status"] == "fuel-exhausted"
+    assert row["ok"] is None
+
+
 def test_demo_factorial_unknown_row(capsys):
     code, _, err = run(capsys, "demo-factorial", "-s", "zz")
     assert code == 1

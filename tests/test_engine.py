@@ -8,6 +8,7 @@ from lambdalab import (
     CONVERGED,
     FUEL_EXHAUSTED,
     EngineError,
+    GenConfig,
     Lam,
     ReadbackSpec,
     ResourceLimitError,
@@ -18,6 +19,9 @@ from lambdalab import (
     derivation_forest,
     derivation_tree,
     evaluate,
+    factorial_term,
+    generate,
+    paper_corpus,
     parse_spec,
     parse_term,
     print_spec,
@@ -79,8 +83,21 @@ def test_final_form_inputs_take_no_steps():
 
 
 def test_negative_fuel_rejected():
-    with pytest.raises(EngineError):
-        evaluate("bn", "x", fuel=-1)
+    # A negative budget never reaches zero, so a divergent run would spin
+    # until some other guard stopped it: every entry point refuses it.
+    omega = "(\\x.x x) (\\x.x x)"
+    by_value = parse_spec("byValue")
+    runs = [
+        lambda: evaluate("bn", omega, -1),
+        lambda: derivation_tree("bn", omega, -1, max_nodes=20000),
+        lambda: derivation_forest("bn", omega, -1, max_nodes=20000),
+        lambda: resume_readback(by_value, evaluate("bv", "x", 0), -1),
+        lambda: resume_readback(by_value, evaluate("bv", omega, 0), -1),
+    ]
+    for run in runs:
+        with pytest.raises(EngineError,
+                           match="fuel budget must be nonnegative"):
+            run()
 
 
 def test_engine_refuses_spurious_spec():
@@ -259,3 +276,77 @@ def test_contracta_are_beta_reducts(spec, term):
                            oracle.to_db(event.redex.operand))
         assert isinstance(lam, Lam)
         assert oracle.to_db(event.contractum) == want
+
+
+# The machine answers an operand walk at once when the operand is a
+# variable, an abstraction its layer leaves alone, or an object the same
+# layer already walked to itself in this run. Derivation trees never take
+# that fast path, so they are the reference for it.
+_MEMO_ROWS = (("sn", "sn"), ("am", "am"), ("bv", "bv"), ("ha", "ha"),
+              ("byValue", "bv"), ("(RE)I.ISS", "bv"))
+
+_SHARED_OPERANDS = tuple(map(parse_term, (
+    # Both copies of f's body are one object, so the second copy's
+    # operand walks (a neutral's, then a redex's) meet operands that the
+    # first copy's walks did not leave fixed.
+    "(\\f. f c (f c)) (\\x. y ((\\v.v) ((\\a.a) z)))",
+    # sn's subsidiary leaves the argument fixed, and the hybrid then
+    # walks the same object as a neutral's operand and reduces inside it.
+    "(\\v. z v) (y (\\x. (\\a.a) x))",
+)))
+
+
+def _memo_terms(program):
+    return (list(_SHARED_OPERANDS)
+            + [factorial_term(program, n) for n in range(5)]
+            + [t for _, t in paper_corpus()]
+            + generate(GenConfig(seed=1337, size_max=30), 40))
+
+
+@pytest.mark.parametrize("row,program", _MEMO_ROWS, ids=[r for r, _ in _MEMO_ROWS])
+def test_operand_memo_matches_derivation_trees(row, program):
+    for term in _memo_terms(program):
+        outcome = evaluate(row, term, 3000, max_nodes=100000)
+        assert outcome.fuel_used == len(outcome.trace)
+        if outcome.status != CONVERGED:
+            with pytest.raises(EngineError, match="fuel exhausted"):
+                derivation_forest(row, term, 3000, max_nodes=100000)
+            continue
+        forest = derivation_forest(row, term, 3000, max_nodes=100000)
+        assert outcome.result == forest[-1].output
+        assert outcome.trace == sum(map(sequence_from_tree, forest), ())
+
+
+@pytest.mark.parametrize("row", ("sn", "am"))
+def test_strict_hybrid_factorial_of_five(row):
+    outcome = evaluate(row, factorial_term(row, 5), record_trace=False)
+    assert outcome.status == CONVERGED
+    assert outcome.fuel_used == 8643
+    assert oracle.church_decode(outcome.result) == 120
+
+
+# The neutral operand p (q (q r)) (s t) is one object in both copies of
+# f's body. Its first walk is deepest in the operator, before the shallow
+# walk of s t; its second walk, under the k's, is the deepest of the run.
+_DEEP_REWALK = "(\\f. f c (k (k (f c)))) (\\x. h (p (q (q r)) (s t)))"
+
+# The smallest max_frames each run passes with, as the machine without
+# the operand memo gave it; a memo hit must not move it.
+_FRAME_EDGES = {
+    "sn-4": ("sn", factorial_term("sn", 4), 29),
+    "am-4": ("am", factorial_term("am", 4), 29),
+    "sn-5": ("sn", factorial_term("sn", 5), 126),
+    "am-5": ("am", factorial_term("am", 5), 126),
+    "bv-rewalk": ("bv", _DEEP_REWALK, 8),
+    "ha-rewalk": ("ha", _DEEP_REWALK, 8),
+}
+
+
+@pytest.mark.parametrize("case", _FRAME_EDGES)
+def test_operand_memo_keeps_the_frame_limit_exact(case):
+    row, term, edge = _FRAME_EDGES[case]
+    with pytest.raises(ResourceLimitError,
+                       match="machine frame stack limit exceeded"):
+        evaluate(row, term, record_trace=False, max_frames=edge - 1)
+    outcome = evaluate(row, term, record_trace=False, max_frames=edge)
+    assert outcome.status == CONVERGED

@@ -331,6 +331,13 @@ def test_demo_factorial_filter_and_rows():
     assert alpha_eq(by_key[("no", 1)]["expected"], parse_term("#church:1"))
 
 
+def test_demo_factorial_marks_unconverged_rows_inconclusive():
+    rows = demo_factorial(n_values=(2, 3), fuel=40, strategies=("no",))
+    assert [r["status"] for r in rows] == [FUEL_EXHAUSTED, FUEL_EXHAUSTED]
+    assert [r["ok"] for r in rows] == [None, None]
+    assert [r["result"] for r in rows] == [None, None]
+
+
 def test_demo_factorial_rejects_unknown_row():
     with pytest.raises(NotationError):
         demo_factorial(strategies=("bn", "zz"))
