@@ -25,6 +25,7 @@ from .engine import (
     reconstruct_sequence,
 )
 from .lab import (
+    DEFAULT_FACTORIAL_FUEL,
     INCONCLUSIVE,
     compare,
     compare_corpus,
@@ -73,7 +74,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, payload) -> None:
+def _emit(payload) -> None:
     print(json.dumps(payload, indent=2 if sys.stdout.isatty() else None))
 
 
@@ -123,7 +124,7 @@ def _cmd_eval(args) -> int:
     outcome = evaluate(parse_spec(args.strategy), term, args.fuel,
                        record_trace=False)
     if args.json:
-        _emit(args, trace_json(args.strategy, term, outcome))
+        _emit(trace_json(args.strategy, term, outcome))
     else:
         if outcome.status == CONVERGED:
             print(print_term(outcome.result))
@@ -135,7 +136,7 @@ def _cmd_trace(args) -> int:
     term = parse_term(args.term)
     outcome = evaluate(parse_spec(args.strategy), term, args.fuel)
     if args.json:
-        _emit(args, trace_json(args.strategy, term, outcome))
+        _emit(trace_json(args.strategy, term, outcome))
         return _finish(args, outcome)
     states = reconstruct_sequence(term, outcome.trace)
     for state, event in zip(states, outcome.trace):
@@ -171,14 +172,14 @@ def _cmd_tree(args) -> int:
     probe = evaluate(spec, term, args.fuel, record_trace=False)
     if probe.status != CONVERGED:
         if args.json:
-            _emit(args, {"status": probe.status, "fuel_used": probe.fuel_used})
+            _emit({"status": probe.status, "fuel_used": probe.fuel_used})
         else:
             print(_status_line(probe))
         return _finish(args, probe)
     roots = derivation_forest(spec, term, args.fuel)
     stages = ("eval", "readback") if isinstance(spec, ReadbackSpec) else ("derivation",)
     if args.json:
-        _emit(args, {
+        _emit({
             "stages": [
                 {"stage": name, "tree": _tree_json(root)}
                 for name, root in zip(stages, roots)
@@ -196,7 +197,7 @@ def _cmd_classify(args) -> int:
     forms = classify(term)
     names = [f.value for f in _FORM_ORDER if f in forms]
     if args.json:
-        _emit(args, {"term": print_term(term), "forms": names})
+        _emit({"term": print_term(term), "forms": names})
     else:
         print(", ".join(names) if names else "none")
     return 0
@@ -210,7 +211,7 @@ def _cmd_compare(args) -> int:
         index, (ea, eb) = verdict.witness
         witness = {"index": index, "a": event_json(ea), "b": event_json(eb)}
     if args.json:
-        _emit(args, {
+        _emit({
             "a": args.a,
             "b": args.b,
             "term": print_term(term),
@@ -239,7 +240,7 @@ def _cmd_fuse(args) -> int:
     text = print_spec(result.hybrid)
     alias = alias_of(result.hybrid)
     if args.json:
-        _emit(args, {
+        _emit({
             "readback": args.spec,
             "hybrid": text,
             "alias": alias,
@@ -254,7 +255,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_defuse(args) -> int:
     encodings = sorted(print_spec(rb) for rb in defuse(parse_spec(args.spec)))
     if args.json:
-        _emit(args, {"hybrid": args.spec, "readbacks": encodings})
+        _emit({"hybrid": args.spec, "readbacks": encodings})
     else:
         for encoding in encodings:
             print(encoding)
@@ -264,7 +265,7 @@ def _cmd_defuse(args) -> int:
 def _cmd_validate(args) -> int:
     report = validate(parse_spec(args.spec))
     if args.json:
-        _emit(args, {
+        _emit({
             "spec": args.spec,
             "verdict": report.verdict,
             "diagnostics": [
@@ -282,7 +283,7 @@ def _cmd_validate(args) -> int:
 def _cmd_catalogue(args) -> int:
     rows = catalogue()
     if args.json:
-        _emit(args, [
+        _emit([
             {
                 "alias": row.alias,
                 "spec": print_spec(row.spec),
@@ -308,10 +309,10 @@ def _cmd_corpus_gen(args) -> int:
         if not args.json:
             print(f"wrote {len(terms)} terms to {args.out}")
         else:
-            _emit(args, {"n": len(terms), "out": args.out})
+            _emit({"n": len(terms), "out": args.out})
         return 0
     if args.json:
-        _emit(args, {"terms": [print_term(t) for t in terms]})
+        _emit({"terms": [print_term(t) for t in terms]})
     else:
         for term in terms:
             print(print_term(term))
@@ -330,7 +331,7 @@ def _cmd_corpus_run(args) -> int:
         print(f"wrote report to {args.out}")
         return 0
     if args.json:
-        _emit(args, payload)
+        _emit(payload)
         return 0
     print(f"{args.a} vs {args.b} on {len(terms)} terms (fuel {args.fuel})")
     for kind, count in sorted(payload["verdicts"].items()):
@@ -341,11 +342,13 @@ def _cmd_corpus_run(args) -> int:
 
 
 def _cmd_demo_factorial(args) -> int:
-    ns = (args.n,) if args.n is not None else (0, 1, 2, 3, 4)
     only = (args.strategy,) if args.strategy else None
-    rows = demo_factorial(n_values=ns, fuel=args.fuel, strategies=only)
+    if args.n is None:
+        rows = demo_factorial(fuel=args.fuel, strategies=only)
+    else:
+        rows = demo_factorial((args.n,), args.fuel, strategies=only)
     if args.json:
-        _emit(args, [
+        _emit([
             {
                 "strategy": row["strategy"],
                 "n": row["n"],
@@ -463,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--strategy", help="restrict to one table row")
     p.add_argument("--n", type=int, default=None,
                    help="single input instead of 0..4")
-    p.add_argument("--fuel", type=int, default=200000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FACTORIAL_FUEL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_demo_factorial)
 

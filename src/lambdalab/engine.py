@@ -19,6 +19,13 @@ redex's own address. That makes a trace replayable: rewriting each
 recorded redex in place, in order, reproduces the run (see
 reconstruct_sequence).
 
+A derivation tree is not carried in the frames: a tree run observes the
+judgments the walk makes. Each EV frame opens a judgment, whose node
+becomes a premise of the innermost open one and is closed by a CLOSE
+frame left beneath the judgment's own frames; a contraction is recorded
+on the innermost open node, and CLOSE gives a node the value its
+judgment produced.
+
 A balanced hybrid over call-by-value walks the same operand objects
 again after every contraction, and they are values by then. So each run
 keeps a memo of the operand walks that returned the operand object
@@ -108,25 +115,34 @@ class Outcome:
 class DerivationNode:
     """A node of the natural-semantics derivation tree.
 
-    kind is VAR, ABS, CON, or NEU; premises are the child derivations in
-    rule order. A CON node additionally carries the contraction's trace
-    event, the evaluated operand, and the contractum; its final premise
-    is the continued evaluation of the contractum, so an in-order walk
-    (premises before the event, the event, then the continuation) visits
-    contractions in trace order.
+    kind is VAR, ABS, CON, or NEU, read off the input and, for an
+    application, whether it contracted; premises are the child
+    derivations in rule order. A CON node additionally carries the
+    contraction's trace event, the evaluated operand, and the contractum;
+    its final premise is the continued evaluation of the contractum, so
+    an in-order walk (premises before the event, the event, then the
+    continuation) visits contractions in trace order.
     """
 
-    __slots__ = ("kind", "input", "output", "premises", "event",
-                 "operand_result", "contractum")
+    __slots__ = ("input", "output", "premises", "event", "operand_result",
+                 "contractum")
 
-    def __init__(self, kind, input_term):
-        self.kind = kind
+    def __init__(self, input_term):
         self.input = input_term
         self.output = None
         self.premises = []
         self.event = None
         self.operand_result = None
         self.contractum = None
+
+    @property
+    def kind(self):
+        cls = self.input.__class__
+        if cls is Var:
+            return "VAR"
+        if cls is Lam:
+            return "ABS"
+        return "NEU" if self.event is None else "CON"
 
     def __repr__(self):
         return f"DerivationNode({self.kind}, {self.input!r} => {self.output!r})"
@@ -224,14 +240,18 @@ class _OutOfFuel(Exception):
 # evaluated operator; CON2 contracts once the operand premise is done;
 # NEU1/NEU2 finish a neutral; THEN walks the value just produced again
 # under a second layer, which is how a readback layer follows eval.
+# CLOSE, in derivation-tree runs only, sits beneath the frames of one
+# judgment and gives the innermost open node the value they leave, so
+# it carries nothing and one tuple serves every judgment.
 _EV = 0
 _MKLAM = 1
 _AP1 = 2
 _CON2 = 3
 _NEU1 = 4
 _NEU2 = 5
-_SETOUT = 6
+_CLOSE = 6
 _THEN = 7
+_CLOSE_FRAME = (_CLOSE,)
 
 
 class _Machine:
@@ -244,6 +264,10 @@ class _Machine:
         self.max_frames = max_frames
         self.frames = []
         self.values = []
+        # In a tree run, the derivation nodes of the judgments still
+        # open, innermost last, over a stand-in whose premises are the
+        # roots.
+        self.opened = [DerivationNode(None)] if trees else None
         self._ptup = {}
         # id(operand) -> (operand, layer, depth) for an operand walk that
         # returned its own input; the entry pins the operand alive. A
@@ -294,6 +318,7 @@ class _Machine:
         frames = self.frames
         values = self.values
         trees = self.trees
+        opened = self.opened
         max_frames = self.max_frames
         fixed = self._fixed
         # The deepest stack an EV frame has seen since the innermost open
@@ -303,109 +328,86 @@ class _Machine:
             frame = frames.pop()
             op = frame[0]
             if op == _EV:
-                _, layer, t, path, sink = frame
+                _, layer, t, path = frame
                 depth = len(frames)
                 if depth > peak:
                     if depth > max_frames:
                         raise ResourceLimitError(
                             "machine frame stack limit exceeded")
                     peak = depth
+                if trees:
+                    node = DerivationNode(t)
+                    opened[-1].premises.append(node)
+                    opened.append(node)
+                    frames.append(_CLOSE_FRAME)
                 cls = t.__class__
                 if cls is Var:
                     values.append(t)
-                    if trees:
-                        leaf = DerivationNode("VAR", t)
-                        leaf.output = t
-                        sink.append(leaf)
                 elif cls is Lam:
                     la = layer.la
                     if la is None:
                         values.append(t)
-                        if trees:
-                            leaf = DerivationNode("ABS", t)
-                            leaf.output = t
-                            sink.append(leaf)
                     elif la is _REDEX_HEAD:
                         raise EngineError(
                             "readback applied to non-intermediate form: "
                             f"{t!r} heads a redex"
                         )
                     else:
-                        node = None
-                        if trees:
-                            node = DerivationNode("ABS", t)
-                            sink.append(node)
-                            sink = node.premises
-                        frames.append((_MKLAM, t, node))
+                        frames.append((_MKLAM, t))
                         path = ("B", path)
                         then = layer.la_then
                         if then is not None:
-                            frames.append((_THEN, then, path, sink))
-                        frames.append((_EV, la, t.body, path, sink))
+                            frames.append((_THEN, then, path))
+                        frames.append((_EV, la, t.body, path))
                 else:
-                    node = None
-                    if trees:
-                        node = DerivationNode("APP", t)
-                        sink.append(node)
-                        sink = node.premises
-                    frames.append((_AP1, layer, t, path, node))
-                    frames.append((_EV, layer.op1, t.operator, ("F", path), sink))
+                    frames.append((_AP1, layer, t, path))
+                    frames.append((_EV, layer.op1, t.operator, ("F", path)))
             elif op == _MKLAM:
-                _, src, node = frame
+                src = frame[1]
                 body = values.pop()
-                out = src if body is src.body else Lam(src.param, body)
-                values.append(out)
-                if node is not None:
-                    node.output = out
+                values.append(src if body is src.body else Lam(src.param, body))
             elif op == _AP1:
-                _, layer, appnode, path, node = frame
+                _, layer, appnode, path = frame
                 mprime = values.pop()
                 if mprime.__class__ is Lam:
-                    if node is not None:
-                        node.kind = "CON"
                     ar1 = layer.ar1
                     operand = appnode.operand
                     if ar1 is None:
-                        self._contract_go(layer, mprime, operand, path, node)
+                        self._contract_go(layer, mprime, operand, path)
                         continue
                     base = len(frames)
-                    if node is None:
+                    if not trees:
                         depth = self._fixed_depth(ar1, operand)
                         if depth is not None and base + depth <= max_frames:
                             if base + depth > peak:
                                 peak = base + depth
-                            self._contract_go(layer, mprime, operand, path, None)
+                            self._contract_go(layer, mprime, operand, path)
                             continue
-                    frames.append((_CON2, layer, mprime, path, node,
-                                   operand, peak, base))
+                    frames.append((_CON2, layer, mprime, path, operand,
+                                   peak, base))
                     peak = base
-                    sink = node.premises if node is not None else None
-                    frames.append((_EV, ar1, operand, ("A", path), sink))
+                    frames.append((_EV, ar1, operand, ("A", path)))
                 else:
-                    if node is not None:
-                        node.kind = "NEU"
                     op2 = layer.op2
                     if op2 is None:
-                        peak = self._neu_ar2(layer, appnode, mprime, path,
-                                             node, peak)
+                        peak = self._neu_ar2(layer, appnode, mprime, path, peak)
                     else:
-                        frames.append((_NEU1, layer, appnode, path, node))
-                        sink = node.premises if node is not None else None
-                        frames.append((_EV, op2, mprime, ("F", path), sink))
+                        frames.append((_NEU1, layer, appnode, path))
+                        frames.append((_EV, op2, mprime, ("F", path)))
             elif op == _CON2:
-                _, layer, lam, path, node, operand, outer, base = frame
+                _, layer, lam, path, operand, outer, base = frame
                 nprime = values.pop()
-                if nprime is operand and node is None:
+                if nprime is operand and not trees:
                     fixed[id(operand)] = (operand, layer.ar1, peak - base)
                 if outer > peak:
                     peak = outer
-                self._contract_go(layer, lam, nprime, path, node)
+                self._contract_go(layer, lam, nprime, path)
             elif op == _NEU1:
-                _, layer, appnode, path, node = frame
+                _, layer, appnode, path = frame
                 mpp = values.pop()
-                peak = self._neu_ar2(layer, appnode, mpp, path, node, peak)
+                peak = self._neu_ar2(layer, appnode, mpp, path, peak)
             elif op == _NEU2:
-                _, appnode, mpp, node, walker, outer, base = frame
+                _, appnode, mpp, walker, outer, base = frame
                 npp = values.pop()
                 operand = appnode.operand
                 if npp is operand:
@@ -417,26 +419,21 @@ class _Machine:
                 if outer > peak:
                     peak = outer
                 values.append(out)
-                if node is not None:
-                    node.output = out
-            elif op == _SETOUT:
-                frame[1].output = values[-1]
+            elif op == _CLOSE:
+                opened.pop().output = values[-1]
             else:  # _THEN
-                _, layer, path, sink = frame
-                frames.append((_EV, layer, values.pop(), path, sink))
+                _, layer, path = frame
+                frames.append((_EV, layer, values.pop(), path))
         return values.pop()
 
-    def _contract_go(self, layer, lam, operand, path, node):
+    def _contract_go(self, layer, lam, operand, path):
         contractum, event = self.contract(lam, operand, path)
-        if node is not None:
+        if self.trees:
+            node = self.opened[-1]
             node.event = event
             node.operand_result = operand
             node.contractum = contractum
-            self.frames.append((_SETOUT, node))
-            sink = node.premises
-        else:
-            sink = None
-        self.frames.append((_EV, layer, contractum, path, sink))
+        self.frames.append((_EV, layer, contractum, path))
 
     def _fixed_depth(self, walker, operand):
         """How deep above its start the walk of operand under walker
@@ -450,16 +447,14 @@ class _Machine:
         hit = self._fixed.get(id(operand))
         return None if hit is None or hit[1] is not walker else hit[2]
 
-    def _neu_ar2(self, layer, appnode, mpp, path, node, peak):
+    def _neu_ar2(self, layer, appnode, mpp, path, peak):
         """Finish a neutral whose operator walked to mpp; returns the
         running peak for the frames this leaves on the stack."""
         ar2 = layer.ar2
         operand = appnode.operand
         if ar2 is None:
-            out = appnode if mpp is appnode.operator else App(mpp, operand)
-            self.values.append(out)
-            if node is not None:
-                node.output = out
+            self.values.append(
+                appnode if mpp is appnode.operator else App(mpp, operand))
             return peak
         frames = self.frames
         base = len(frames)
@@ -467,19 +462,18 @@ class _Machine:
         # Neither derivation trees nor a readback (RE) slot, which walks
         # its operand twice, use the memo.
         walker = None
-        if then is None and node is None:
+        if then is None and not self.trees:
             depth = self._fixed_depth(ar2, operand)
             if depth is not None and base + depth <= self.max_frames:
                 out = appnode if mpp is appnode.operator else App(mpp, operand)
                 self.values.append(out)
                 return max(peak, base + depth)
             walker = ar2
-        frames.append((_NEU2, appnode, mpp, node, walker, peak, base))
-        sink = node.premises if node is not None else None
+        frames.append((_NEU2, appnode, mpp, walker, peak, base))
         path = ("A", path)
         if then is not None:
-            frames.append((_THEN, then, path, sink))
-        frames.append((_EV, ar2, operand, path, sink))
+            frames.append((_THEN, then, path))
+        frames.append((_EV, ar2, operand, path))
         return base
 
 
@@ -503,17 +497,16 @@ def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
     if stage1 is not None and machine.record:
         machine.events.extend(stage1.trace)
     frames = machine.frames
-    eval_sink, rb_sink = ([], []) if trees else (None, None)
     if isinstance(spec, ReadbackSpec):
         ev = _build_layer(spec.ev)
         rb = _readback_layer(spec, ev)
         if stage1 is None:
-            frames.append((_THEN, rb, None, rb_sink))
-            frames.append((_EV, ev, term, None, eval_sink))
+            frames.append((_THEN, rb, None))
+            frames.append((_EV, ev, term, None))
         else:
-            frames.append((_EV, rb, stage1.result, None, rb_sink))
+            frames.append((_EV, rb, stage1.result, None))
     else:
-        frames.append((_EV, _build_layer(spec), term, None, eval_sink))
+        frames.append((_EV, _build_layer(spec), term, None))
     exhausted = False
     result = None
     try:
@@ -532,7 +525,7 @@ def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
     if trees:
         if exhausted:
             raise EngineError("fuel exhausted before the derivation completed")
-        roots = tuple(sink[0] for sink in (eval_sink, rb_sink) if sink)
+        roots = tuple(machine.opened[0].premises)
     return outcome, roots
 
 
@@ -565,25 +558,6 @@ def resume_readback(spec: ReadbackSpec, stage1: Outcome, fuel: int, *,
     outcome, _ = _run_machine(spec, None, fuel, stage1.trace is not None,
                               max_nodes, max_frames, stage1=stage1)
     return outcome
-
-
-def derivation_tree(spec, term, fuel=DEFAULT_FUEL, *,
-                    max_nodes=DEFAULT_MAX_NODES,
-                    max_frames=DEFAULT_MAX_FRAMES) -> DerivationNode:
-    """The natural-semantics derivation for a uniform or hybrid run.
-
-    Readback strategies render as two stacked derivations; use
-    derivation_forest for those."""
-    spec = _coerce_spec(spec)
-    if isinstance(spec, ReadbackSpec):
-        raise EngineError(
-            "a readback strategy derives as two stacked trees; "
-            "use derivation_forest"
-        )
-    term = _coerce_term(term)
-    _, roots = _run_machine(spec, term, fuel, True, max_nodes, max_frames,
-                            trees=True)
-    return roots[0]
 
 
 def derivation_forest(spec, term, fuel=DEFAULT_FUEL, *,

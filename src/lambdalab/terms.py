@@ -63,10 +63,6 @@ class Term:
                 stack.append((a.operand, b.operand))
         return True
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return self._hash
 

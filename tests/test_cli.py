@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from lambdalab.cli import main
+from lambdalab import GenConfig, free_vars, generate, parse_term, print_term
+from lambdalab.cli import build_parser, main
+from lambdalab.lab import DEFAULT_FACTORIAL_FUEL
 
 
 def run(capsys, *argv):
@@ -62,6 +64,31 @@ def test_tree_plain_strategy(capsys):
     assert code == 0
     assert "CON" in out
     assert "readback:" not in out
+
+
+def test_tree_out_of_fuel_reports_status(capsys):
+    argv = ("tree", "-s", "bv", "(\\x.y) #Omega", "--fuel", "40")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["fuel exhausted after 40 steps"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {"status": "fuel-exhausted", "fuel_used": 40}
+    code, _, _ = run(capsys, *argv, "--strict-fuel")
+    assert code == 2
+
+
+@pytest.mark.parametrize("strategy,stages", [
+    ("byValue", ["eval", "readback"]),
+    ("bv", ["derivation"]),
+])
+def test_tree_json_names_its_stages(capsys, strategy, stages):
+    code, out, _ = run(capsys, "tree", "-s", strategy, "(\\x.x) (\\y.y)",
+                       "--json")
+    assert code == 0
+    blob = json.loads(out)
+    assert [s["stage"] for s in blob["stages"]] == stages
+    assert blob["stages"][-1]["tree"]["output"] == "\\y.y"
 
 
 def test_classify_lists_forms(capsys):
@@ -137,6 +164,36 @@ def test_corpus_pipeline(capsys, tmp_path):
     blob = json.loads(out)
     assert blob["n"] == 25
     assert sum(blob["verdicts"].values()) == 25
+
+
+def test_corpus_gen_draws_free_variables_from_the_pool(capsys):
+    code, out, _ = run(capsys, "corpus-gen", "--seed", "3", "--size-max",
+                       "10", "--n", "40", "--pool", "x,y", "--json")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    want = generate(GenConfig(seed=3, size_max=10, free_var_pool=("x", "y")),
+                    40)
+    assert terms == [print_term(t) for t in want]
+    free = set().union(*(free_vars(parse_term(t)) for t in terms))
+    assert free == {"x", "y"}
+
+
+def test_corpus_run_writes_report_file(capsys, tmp_path):
+    corpus, report = tmp_path / "c.lam", tmp_path / "report.json"
+    run(capsys, "corpus-gen", "--seed", "4", "--size-max", "12", "--n", "10",
+        "--out", str(corpus))
+    code, out, _ = run(capsys, "corpus-run", "bn", "no", str(corpus),
+                       "--fuel", "2000", "--out", str(report))
+    assert code == 0
+    assert out.strip() == f"wrote report to {report}"
+    blob = json.loads(report.read_text())
+    assert blob["n"] == 10
+    assert sum(blob["verdicts"].values()) == 10
+
+
+def test_demo_factorial_default_fuel_comes_from_lab():
+    args = build_parser().parse_args(["demo-factorial"])
+    assert args.fuel == DEFAULT_FACTORIAL_FUEL
 
 
 def test_demo_factorial_single_row(capsys):

@@ -17,7 +17,6 @@ from lambdalab import (
     catalogue,
     compare,
     derivation_forest,
-    derivation_tree,
     evaluate,
     factorial_term,
     generate,
@@ -89,7 +88,6 @@ def test_negative_fuel_rejected():
     by_value = parse_spec("byValue")
     runs = [
         lambda: evaluate("bn", omega, -1),
-        lambda: derivation_tree("bn", omega, -1, max_nodes=20000),
         lambda: derivation_forest("bn", omega, -1, max_nodes=20000),
         lambda: resume_readback(by_value, evaluate("bv", "x", 0), -1),
         lambda: resume_readback(by_value, evaluate("bv", omega, 0), -1),
@@ -176,15 +174,9 @@ def test_readback_refuses_a_redex_before_spending_fuel(fuel):
         resume_readback(parse_spec("byValue"), evaluate("bn", term, fuel), fuel)
 
 
-def test_derivation_tree_rejects_readback_spec():
-    with pytest.raises(EngineError) as exc:
-        derivation_tree("byValue", "x")
-    assert "derivation_forest" in str(exc.value)
-
-
 def test_derivation_tree_requires_convergence():
     with pytest.raises(EngineError):
-        derivation_tree("bv", "(\\x.y) #Omega", fuel=50)
+        derivation_forest("bv", "(\\x.y) #Omega", fuel=50)
 
 
 def test_derivation_forest_stages():
@@ -199,10 +191,70 @@ def test_derivation_forest_stages():
 
 def test_derivation_tree_output_matches_outcome():
     term = parse_term("(\\x.\\y.y x) ((\\a.a) z) (\\w.w)")
-    tree = derivation_tree("bv", term)
+    [tree] = derivation_forest("bv", term)
     outcome = evaluate("bv", term)
     assert alpha_eq(tree.output, outcome.result)
     assert sequence_from_tree(tree) == outcome.trace
+
+
+def _check_forest_nodes(forest):
+    # Children before parents: the reverse of a preorder walk.
+    order, stack = [], list(forest)
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.premises)
+    # id(node) -> (first, last) step index of the events in its subtree
+    spans = {}
+
+    def span(nodes):
+        got = [spans[id(n)] for n in nodes if spans[id(n)] is not None]
+        return (min(g[0] for g in got), max(g[1] for g in got)) if got else None
+
+    for node in reversed(order):
+        t, out = node.input, node.output
+        kind = {Var: "VAR", Lam: "ABS"}.get(type(t))
+        if kind is None:
+            assert node.kind in ("CON", "NEU")
+        else:
+            assert node.kind == kind
+        if kind == "VAR":
+            assert node.premises == []
+            assert out is t
+        elif kind == "ABS":
+            assert isinstance(out, Lam) and out.param == t.param
+        if node.kind != "CON":
+            assert node.event is None
+            spans[id(node)] = span(node.premises)
+            continue
+        event, last = node.event, node.premises[-1]
+        assert node.contractum is event.contractum
+        assert last.input is node.contractum
+        assert out is last.output
+        step = event.step_index
+        before, after = span(node.premises[:-1]), spans[id(last)]
+        assert before is None or before[1] < step
+        assert after is None or step < after[0]
+        spans[id(node)] = (before[0] if before else step,
+                           after[1] if after else step)
+
+
+def _forest_terms(row):
+    program = row.alias or print_spec(row.spec)
+    return ([t for _, t in paper_corpus()]
+            + [factorial_term(program, n) for n in range(3)])
+
+
+@pytest.mark.parametrize("row", catalogue(),
+                         ids=lambda row: print_spec(row.spec))
+def test_every_forest_node_is_well_formed(row):
+    for term in _forest_terms(row):
+        outcome = evaluate(row.spec, term, 3000, record_trace=False)
+        if outcome.status != CONVERGED:
+            continue
+        forest = derivation_forest(row.spec, term, 3000)
+        assert forest[-1].output == outcome.result
+        _check_forest_nodes(forest)
 
 
 def test_reconstruct_sequence_worked_example():

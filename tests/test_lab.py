@@ -341,3 +341,11 @@ def test_demo_factorial_marks_unconverged_rows_inconclusive():
 def test_demo_factorial_rejects_unknown_row():
     with pytest.raises(NotationError):
         demo_factorial(strategies=("bn", "zz"))
+
+
+def test_demo_factorial_default_fuel_finishes_the_n6_rows():
+    # no and hn are the table's costliest rows at n = 6 (218,878
+    # contractions each); the default budget must cover them.
+    [row] = demo_factorial(n_values=(6,), strategies=("no",))
+    assert row["status"] == CONVERGED
+    assert row["ok"] is True
