@@ -56,17 +56,6 @@ from .terms import (
     print_term,
 )
 
-_FORM_ORDER = (
-    FormClass.NF,
-    FormClass.WNF,
-    FormClass.HNF,
-    FormClass.WHNF,
-    FormClass.VHNF,
-    FormClass.NEUTRAL,
-    FormClass.REDEX,
-)
-
-
 class _Parser(argparse.ArgumentParser):
     # Exit 1 on usage errors; this tool reserves 2 for resource limits.
     def error(self, message):
@@ -74,8 +63,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _indent():
+    return 2 if sys.stdout.isatty() else None
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2 if sys.stdout.isatty() else None))
+    print(json.dumps(payload, indent=_indent()))
+
+
+def _dumps(value, indent) -> str:
+    """json.dumps(value, indent=indent) with its own stack in place of
+    recursion, so that documents as deep as a derivation tree fit. It
+    is about ten times slower than json.dumps, so only tree uses it."""
+    parts = []
+    todo = [(value, 0)]  # (value, depth), or (text, None) to write as is
+    while todo:
+        value, depth = todo.pop()
+        if depth is None or not value or not isinstance(value, (dict, list)):
+            parts.append(value if depth is None else json.dumps(value))
+            continue
+        pad = "" if indent is None else "\n" + " " * (indent * depth)
+        step, sep = ("", ", ") if indent is None else (" " * indent, ",")
+        keyed = isinstance(value, dict)
+        pairs = ([(json.dumps(k) + ": ", v) for k, v in value.items()]
+                 if keyed else [("", v) for v in value])
+        parts.append("{" if keyed else "[")
+        todo.append((pad + ("}" if keyed else "]"), None))
+        for i in reversed(range(len(pairs))):
+            key, item = pairs[i]
+            todo.append((item, depth + 1))
+            todo.append(((sep if i else "") + pad + step + key, None))
+    return "".join(parts)
 
 
 def _all_names(term: Term) -> set[str]:
@@ -146,24 +164,28 @@ def _cmd_trace(args) -> int:
     return _finish(args, outcome)
 
 
-def _tree_json(node) -> dict:
-    out = {
-        "kind": node.kind,
-        "input": print_term(node.input),
-        "output": print_term(node.output),
-    }
-    if node.contractum is not None:
-        out["contractum"] = print_term(node.contractum)
-    out["premises"] = [_tree_json(p) for p in node.premises]
-    return out
+def _tree_json(root) -> dict:
+    tree = {}
+    stack = [(root, tree)]
+    while stack:
+        node, out = stack.pop()
+        out["kind"] = node.kind
+        out["input"] = print_term(node.input)
+        out["output"] = print_term(node.output)
+        if node.contractum is not None:
+            out["contractum"] = print_term(node.contractum)
+        out["premises"] = [{} for _ in node.premises]
+        stack.extend(zip(node.premises, out["premises"]))
+    return tree
 
 
-def _print_tree(node, depth=0) -> None:
-    line = f"{'  ' * depth}{node.kind}  {print_term(node.input)}"
-    line += f"  =>  {print_term(node.output)}"
-    print(line)
-    for premise in node.premises:
-        _print_tree(premise, depth + 1)
+def _print_tree(root, depth) -> None:
+    stack = [(root, depth)]
+    while stack:
+        node, depth = stack.pop()
+        print(f"{'  ' * depth}{node.kind}  {print_term(node.input)}"
+              f"  =>  {print_term(node.output)}")
+        stack.extend((p, depth + 1) for p in reversed(node.premises))
 
 
 def _cmd_tree(args) -> int:
@@ -179,12 +201,12 @@ def _cmd_tree(args) -> int:
     roots = derivation_forest(spec, term, args.fuel)
     stages = ("eval", "readback") if isinstance(spec, ReadbackSpec) else ("derivation",)
     if args.json:
-        _emit({
+        print(_dumps({
             "stages": [
                 {"stage": name, "tree": _tree_json(root)}
                 for name, root in zip(stages, roots)
             ]
-        })
+        }, _indent()))
         return 0
     for name, root in zip(stages, roots):
         print(f"{name}:")
@@ -195,7 +217,7 @@ def _cmd_tree(args) -> int:
 def _cmd_classify(args) -> int:
     term = parse_term(args.term)
     forms = classify(term)
-    names = [f.value for f in _FORM_ORDER if f in forms]
+    names = [f.value for f in FormClass if f in forms]
     if args.json:
         _emit({"term": print_term(term), "forms": names})
     else:
@@ -302,8 +324,12 @@ def _cmd_catalogue(args) -> int:
 
 def _cmd_corpus_gen(args) -> int:
     pool = tuple(p for p in (args.pool or "").split(",") if p)
-    cfg = GenConfig(seed=args.seed, size_max=args.size_max, free_var_pool=pool)
-    terms = generate(cfg, args.n)
+    try:
+        cfg = GenConfig(seed=args.seed, size_max=args.size_max,
+                        free_var_pool=pool)
+        terms = generate(cfg, args.n)
+    except ValueError as exc:  # a size bound no term fits
+        return _error(exc)
     if args.out:
         save_corpus(args.out, terms)
         if not args.json:
@@ -345,6 +371,8 @@ def _cmd_demo_factorial(args) -> int:
     only = (args.strategy,) if args.strategy else None
     if args.n is None:
         rows = demo_factorial(fuel=args.fuel, strategies=only)
+    elif args.n < 0:
+        return _error(f"--n must be at least 0, got {args.n}")
     else:
         rows = demo_factorial((args.n,), args.fuel, strategies=only)
     if args.json:
@@ -473,6 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -481,12 +514,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2 if getattr(args, "strict_fuel", False) else 0
-    except (ParseError, NotationError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ParseError, NotationError, EngineError, OSError) as exc:
+        return _error(exc)
 
 
 def entry() -> None:

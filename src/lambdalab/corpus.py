@@ -17,28 +17,28 @@ from .terms import App, Lam, ParseError, Term, Var, parse_term, print_term
 _WEIGHT_VAR = 0.30
 _WEIGHT_LAM = 0.35
 _WEIGHT_APP = 0.35
+# The probability that an application gets a literal abstraction as its
+# operator, which sets how redex-rich a corpus is.
+_REDEX_BIAS = 0.5
 
 
 @dataclass(frozen=True)
 class GenConfig:
     """Knobs for the random term generator.
 
-    size_max bounds the node count of every generated term. An empty
-    free_var_pool forces closed terms. redex_bias is the probability
-    that an application gets a literal abstraction as its operator,
-    which controls how redex-rich the corpus is.
+    seed picks the random streams. size_max bounds the node count of
+    every generated term. An empty free_var_pool forces closed terms.
+    The redex bias is fixed: an application whose operator has room for
+    an abstraction gets a literal one with probability 0.5.
     """
 
     seed: int
     size_max: int
     free_var_pool: tuple[str, ...] = ()
-    redex_bias: float = 0.5
 
     def __post_init__(self):
         if self.size_max < 1:
             raise ValueError("size_max must be at least 1")
-        if not 0.0 <= self.redex_bias <= 1.0:
-            raise ValueError("redex_bias must lie in [0, 1]")
 
 
 def generate(cfg: GenConfig, n: int) -> list[Term]:
@@ -79,7 +79,7 @@ def _gen_term(rng: random.Random, cfg: GenConfig, pool: tuple[str, ...]) -> Term
                 op_budget = rng.randint(floor, budget - 1 - floor)
                 arg_budget = budget - 1 - op_budget
                 ops.append(("app",))
-                if op_budget >= 2 and rng.random() < cfg.redex_bias:
+                if op_budget >= 2 and rng.random() < _REDEX_BIAS:
                     binder = f"v{len(env) + 1}"
                     ops.append(("gen", arg_budget, env))
                     ops.append(("lam", binder))

@@ -118,22 +118,28 @@ class DerivationNode:
     kind is VAR, ABS, CON, or NEU, read off the input and, for an
     application, whether it contracted; premises are the child
     derivations in rule order. A CON node additionally carries the
-    contraction's trace event, the evaluated operand, and the contractum;
-    its final premise is the continued evaluation of the contractum, so
-    an in-order walk (premises before the event, the event, then the
-    continuation) visits contractions in trace order.
+    contraction's trace event, off which operand_result (the evaluated
+    operand) and contractum are read; its final premise is the continued
+    evaluation of the contractum, so an in-order walk (premises before
+    the event, the event, then the continuation) visits contractions in
+    trace order.
     """
 
-    __slots__ = ("input", "output", "premises", "event", "operand_result",
-                 "contractum")
+    __slots__ = ("input", "output", "premises", "event")
 
     def __init__(self, input_term):
         self.input = input_term
         self.output = None
         self.premises = []
         self.event = None
-        self.operand_result = None
-        self.contractum = None
+
+    @property
+    def operand_result(self):
+        return None if self.event is None else self.event.redex.operand
+
+    @property
+    def contractum(self):
+        return None if self.event is None else self.event.contractum
 
     @property
     def kind(self):
@@ -429,10 +435,7 @@ class _Machine:
     def _contract_go(self, layer, lam, operand, path):
         contractum, event = self.contract(lam, operand, path)
         if self.trees:
-            node = self.opened[-1]
-            node.event = event
-            node.operand_result = operand
-            node.contractum = contractum
+            self.opened[-1].event = event
         self.frames.append((_EV, layer, contractum, path))
 
     def _fixed_depth(self, walker, operand):

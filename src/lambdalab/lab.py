@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from .engine import (
     CONVERGED,
+    DEFAULT_FUEL,
     DEFAULT_MAX_FRAMES,
     DEFAULT_MAX_NODES,
     Outcome,
@@ -39,6 +40,7 @@ from .engine import (
 from .notation import (
     NotationError,
     StrategySpec,
+    catalogue,
     fuse,
     parse_spec,
     print_spec,
@@ -89,7 +91,6 @@ class CorpusReport:
     n: int
     verdicts: dict[str, int] = field(default_factory=dict)
     counterexamples: list[dict] = field(default_factory=list)
-    cap: int = 10
     mcr: bool | None = None
 
     def to_json(self) -> dict:
@@ -277,7 +278,7 @@ def _compare_outcomes(oa: Outcome, ob: Outcome) -> CompareVerdict:
     return CompareVerdict(DIFFER, (pair[0].step_index, pair))
 
 
-def compare(a, b, term, fuel=100000, *,
+def compare(a, b, term, fuel=DEFAULT_FUEL, *,
             max_nodes=DEFAULT_MAX_NODES,
             max_frames=DEFAULT_MAX_FRAMES) -> CompareVerdict:
     """Grade how similarly two strategies run one term.
@@ -297,17 +298,22 @@ def compare(a, b, term, fuel=100000, *,
     return _compare_outcomes(oa, ob)
 
 
+# A corpus report keeps at most this many counterexamples.
+_CAP = 10
+
+
 def _map_corpus(report: CorpusReport, entry, args, corpus) -> CorpusReport:
     """Run entry(term, *args) -> (verdict kind, example or None) on every
-    term and aggregate into report in corpus order. A term that outgrows
-    its resource limits gets the resource verdict."""
+    term and aggregate into report in corpus order, keeping the first
+    _CAP examples. A term that outgrows its resource limits gets the
+    resource verdict."""
     for term in corpus:
         try:
             kind, example = entry(term, *args)
         except ResourceLimitError:
             kind, example = "resource", None
         report.verdicts[kind] = report.verdicts.get(kind, 0) + 1
-        if example is not None and len(report.counterexamples) < report.cap:
+        if example is not None and len(report.counterexamples) < _CAP:
             report.counterexamples.append(example)
     return report
 
@@ -329,14 +335,14 @@ def _compare_entry(term, a, b, fuel, max_nodes):
     return verdict.kind, example
 
 
-def compare_corpus(a, b, corpus, fuel=100000, *, seed=None, cap=10,
+def compare_corpus(a, b, corpus, fuel=DEFAULT_FUEL, *, seed=None,
                    max_nodes=DEFAULT_MAX_NODES) -> CorpusReport:
     """compare() over a term list, aggregated into a CorpusReport; each
     differ verdict is a counterexample."""
     a = parse_spec(a) if isinstance(a, str) else a
     b = parse_spec(b) if isinstance(b, str) else b
     report = CorpusReport(print_spec(a), print_spec(b), seed, fuel,
-                          len(corpus), cap=cap)
+                          len(corpus))
     args = (a, b, fuel, max_nodes)
     return _map_corpus(report, _compare_entry, args, corpus)
 
@@ -345,61 +351,55 @@ ABSORBED = "absorbed"
 VIOLATED = "violated"
 
 
-def _status_summary(outcome: Outcome) -> dict:
-    return {
-        "status": outcome.status,
-        "result": _term_str(outcome.result),
-    }
+def _then(spec, first, fuel, max_nodes) -> Outcome:
+    """spec run untraced on first's result with the fuel first left over
+    from fuel; first itself when it did not converge, so a run that
+    exhausts the budget leaves the composition exhausted."""
+    if first.status != CONVERGED:
+        return first
+    return evaluate(spec, first.result, fuel - first.fuel_used,
+                    record_trace=False, max_nodes=max_nodes)
 
 
-def check_absorption(outer, inner, corpus, fuel=100000, *, seed=None, cap=10,
+def _absorption(composed: Outcome, alone: Outcome) -> str:
+    """absorbed when both runs converge to alpha-equal results, violated
+    when the results differ or exactly one run converges, inconclusive
+    when both run out of fuel."""
+    if composed.status == CONVERGED and alone.status == CONVERGED:
+        return ABSORBED if alpha_eq(composed.result, alone.result) else VIOLATED
+    return INCONCLUSIVE if composed.status == alone.status else VIOLATED
+
+
+def check_absorption(outer, inner, corpus, fuel=DEFAULT_FUEL, *,
                      max_nodes=DEFAULT_MAX_NODES) -> CorpusReport:
     """Does running outer after inner equal running outer alone?
 
     The composition threads one fuel budget through both runs, so an
-    inner run that exhausts it leaves the composition exhausted. A term
-    counts absorbed when both sides converge to alpha-equal results,
-    violated when results differ or exactly one side converges, and
-    inconclusive when both run out of fuel."""
+    inner run that exhausts it leaves the composition exhausted. Each
+    term is judged absorbed, violated or inconclusive by _absorption."""
     outer = parse_spec(outer) if isinstance(outer, str) else outer
     inner = parse_spec(inner) if isinstance(inner, str) else inner
-    report = CorpusReport(print_spec(outer), print_spec(inner), seed, fuel,
-                          len(corpus), cap=cap)
+    report = CorpusReport(print_spec(outer), print_spec(inner), None, fuel,
+                          len(corpus))
     args = (outer, inner, fuel, max_nodes)
     return _map_corpus(report, _absorption_entry, args, corpus)
 
 
 def _absorption_entry(term, outer, inner, fuel, max_nodes):
-    inner_out = evaluate(inner, term, fuel, record_trace=False,
-                         max_nodes=max_nodes)
-    if inner_out.status == CONVERGED:
-        composed = evaluate(outer, inner_out.result,
-                            fuel - inner_out.fuel_used,
-                            record_trace=False, max_nodes=max_nodes)
-    else:
-        composed = inner_out
+    composed = _then(outer, evaluate(inner, term, fuel, record_trace=False,
+                                     max_nodes=max_nodes), fuel, max_nodes)
     alone = evaluate(outer, term, fuel, record_trace=False,
                      max_nodes=max_nodes)
-    if composed.status == CONVERGED and alone.status == CONVERGED:
-        if alpha_eq(composed.result, alone.result):
-            return ABSORBED, None
-        kind = VIOLATED
-    elif composed.status == alone.status:
-        return INCONCLUSIVE, None
-    else:
-        kind = VIOLATED
-    example = {
-        "term": _term_str(term),
-        "verdict": kind,
-        "witness": {
-            "composed": _status_summary(composed),
-            "alone": _status_summary(alone),
-        },
-    }
-    return kind, example
+    kind = _absorption(composed, alone)
+    if kind != VIOLATED:
+        return kind, None
+    witness = {side: {"status": o.status, "result": _term_str(o.result)}
+               for side, o in (("composed", composed), ("alone", alone))}
+    return kind, {"term": _term_str(term), "verdict": kind,
+                  "witness": witness}
 
 
-def check_fusion_row(er, corpus, fuel=100000, *, seed=None, cap=10,
+def check_fusion_row(er, corpus, fuel=DEFAULT_FUEL, *,
                      max_nodes=DEFAULT_MAX_NODES) -> CorpusReport:
     """Differential check of one staged row against its fused hybrid.
 
@@ -412,8 +412,8 @@ def check_fusion_row(er, corpus, fuel=100000, *, seed=None, cap=10,
     if isinstance(er, str):
         er = parse_spec(er)
     fusion = fuse(er)
-    report = CorpusReport(print_spec(er), print_spec(fusion.hybrid), seed,
-                          fuel, len(corpus), cap=cap, mcr=fusion.mcr)
+    report = CorpusReport(print_spec(er), print_spec(fusion.hybrid), None,
+                          fuel, len(corpus), mcr=fusion.mcr)
     args = (er, fusion.hybrid, fusion.mcr, fuel, max_nodes)
     return _map_corpus(report, _fusion_entry, args, corpus)
 
@@ -425,20 +425,11 @@ def _fusion_entry(term, er, hy, mcr, fuel, max_nodes):
     verdict = _compare_outcomes(staged, fused)
     extra = None
     if stage1.status == CONVERGED:
-        hy_of_ev = evaluate(hy, stage1.result, fuel - stage1.fuel_used,
-                            record_trace=False, max_nodes=max_nodes)
-        if fused.status == CONVERGED and hy_of_ev.status == CONVERGED:
-            if not alpha_eq(hy_of_ev.result, fused.result):
-                extra = "hybrid-absorb-eval-violated"
-        elif fused.status == CONVERGED or hy_of_ev.status == CONVERGED:
+        if _absorption(_then(hy, stage1, fuel, max_nodes), fused) == VIOLATED:
             extra = "hybrid-absorb-eval-violated"
-        if extra is None:
-            ev_again = evaluate(er.ev, stage1.result, fuel - stage1.fuel_used,
-                                record_trace=False, max_nodes=max_nodes)
-            if ev_again.status != CONVERGED or not alpha_eq(
-                ev_again.result, stage1.result
-            ):
-                extra = "eval-idempotence-violated"
+        elif _absorption(_then(er.ev, stage1, fuel, max_nodes),
+                         stage1) == VIOLATED:
+            extra = "eval-idempotence-violated"
     example = None
     if extra is not None or _fusion_failure(verdict.kind, mcr):
         example = _trace_example(term, extra or verdict.kind, verdict.witness)
@@ -462,42 +453,37 @@ def _fusion_failure(kind, mcr) -> bool:
 # most there, 218,878 contractions.
 DEFAULT_FACTORIAL_FUEL = 250_000
 
-FULL_REDUCING = ("no", "hn", "sn", "ha", "so", "bs")
-
-PARTIAL_FORMS = {
-    "bn": FormClass.WHNF,
-    "IIS": FormClass.WNF,
-    "hr": FormClass.HNF,
-    "he": FormClass.HNF,
-    "bv": FormClass.WNF,
-    "am": FormClass.VHNF,
-    "ho": FormClass.HNF,
+# The factorial table: each row with its program, as (fixed-point
+# combinator, body, identity argument) builtins. Non-strict rows run the
+# plain recursion, strict rows the thunked body over the strict
+# combinator, head-spine rows the delimited-cps body; the identity
+# argument forces the answer out of the last two.
+_FACTORIAL = {
+    **dict.fromkeys(("bn", "IIS", "hr", "he", "no", "hn"),
+                    ("Y", "F_direct", None)),
+    **dict.fromkeys(("bv", "am", "sn", "ha"), ("Z", "F_thunkLambda", "I")),
+    **dict.fromkeys(("ho", "so", "bs"), ("Y", "F_delimcps", "I")),
 }
 
-_GROUPS = (
-    ("Y #F_direct", ("bn", "IIS", "hr", "he", "no", "hn")),
-    ("Z #F_thunkLambda", ("bv", "am", "sn", "ha")),
-    ("Y #F_delimcps", ("ho", "so", "bs")),
-)
+# Result form families by spec, so that a row named by its encoding
+# (IIS has no alias) is found too.
+_FORMS = {row.spec: row.result_form for row in catalogue()}
+
+FULL_REDUCING = tuple(a for a in _FACTORIAL
+                      if _FORMS[parse_spec(a)] is FormClass.NF)
 
 
 def factorial_term(strategy: str, n: int) -> Term:
-    """The factorial program suited to a strategy: the plain recursion
-    for non-strict rows, the thunked body over the strict fixed-point
-    combinator for strict rows, and the delimited-cps body for the
-    head-spine rows. The strict and cps programs take an extra identity
-    argument to force the final answer out."""
+    """The factorial program of a table row applied to the Church
+    numeral n; any other name gets the plain recursion."""
+    combinator, body, argument = _FACTORIAL.get(strategy, _FACTORIAL["bn"])
     b = builtins()
-    num = churchN(n)
-    if strategy in ("bv", "am", "sn", "ha"):
-        return App(App(App(b["Z"], b["F_thunkLambda"]), num), b["I"])
-    if strategy in ("ho", "so", "bs"):
-        return App(App(App(b["Y"], b["F_delimcps"]), num), b["I"])
-    return App(App(b["Y"], b["F_direct"]), num)
+    term = App(App(b[combinator], b[body]), churchN(n))
+    return term if argument is None else App(term, b[argument])
 
 
 def demo_factorial(n_values=(0, 1, 2, 3, 4), fuel=DEFAULT_FACTORIAL_FUEL, *,
-                   max_nodes=DEFAULT_MAX_NODES, strategies=None) -> list[dict]:
+                   strategies=None) -> list[dict]:
     """Run factorial programs across the named strategies.
 
     Full-reducing rows must produce the Church numeral of n!; the
@@ -506,40 +492,33 @@ def demo_factorial(n_values=(0, 1, 2, 3, 4), fuel=DEFAULT_FACTORIAL_FUEL, *,
     None when the run did not converge within fuel: such a row is
     inconclusive, not a mismatch. strategies restricts the run to a
     subset of the table's rows."""
-    if strategies is not None:
-        known = {a for _, row in _GROUPS for a in row}
-        unknown = sorted(set(strategies) - known)
-        if unknown:
-            raise NotationError(
-                f"not a factorial table row: {', '.join(unknown)}"
-            )
+    rows = _FACTORIAL.keys() if strategies is None else set(strategies)
+    unknown = sorted(rows - _FACTORIAL.keys())
+    if unknown:
+        raise NotationError(f"not a factorial table row: {', '.join(unknown)}")
     entries = []
-    for _, aliases in _GROUPS:
-        for alias in aliases:
-            if strategies is not None and alias not in strategies:
-                continue
-            for n in n_values:
-                term = factorial_term(alias, n)
-                outcome = evaluate(alias, term, fuel, record_trace=False,
-                                   max_nodes=max_nodes)
-                ok = None
-                expected = None
-                if outcome.status == CONVERGED:
-                    if alias in FULL_REDUCING:
-                        expected = churchN(math.factorial(n))
-                        ok = alpha_eq(outcome.result, expected)
-                    else:
-                        form = PARTIAL_FORMS[alias]
-                        expected = form
-                        ok = form in classify(outcome.result)
-                entries.append(
-                    {
-                        "strategy": alias,
-                        "n": n,
-                        "status": outcome.status,
-                        "result": outcome.result,
-                        "expected": expected,
-                        "ok": ok,
-                    }
-                )
+    for alias in (a for a in _FACTORIAL if a in rows):
+        form = _FORMS[parse_spec(alias)]
+        for n in n_values:
+            term = factorial_term(alias, n)
+            outcome = evaluate(alias, term, fuel, record_trace=False)
+            ok = None
+            expected = None
+            if outcome.status == CONVERGED:
+                if form is FormClass.NF:
+                    expected = churchN(math.factorial(n))
+                    ok = alpha_eq(outcome.result, expected)
+                else:
+                    expected = form
+                    ok = form in classify(outcome.result)
+            entries.append(
+                {
+                    "strategy": alias,
+                    "n": n,
+                    "status": outcome.status,
+                    "result": outcome.result,
+                    "expected": expected,
+                    "ok": ok,
+                }
+            )
     return entries

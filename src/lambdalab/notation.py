@@ -84,24 +84,6 @@ class ReadbackSpec:
 StrategySpec = UniformSpec | HybridSpec | ReadbackSpec
 
 
-ALIASES: dict[str, str] = {
-    "bn": "III",
-    "bv": "ISS",
-    "ao": "SSS",
-    "he": "SII",
-    "ho": "SSI",
-    "no": "HIH<>III",
-    "hr": "HII<>III",
-    "sn": "HSH<>ISS",
-    "hn": "HIH<>SII",
-    "ha": "HHH<>ISS",
-    "am": "HSS<>ISS",
-    "so": "HHH<>SSI",
-    "bs": "HSH<>SSI",
-    "byValue": "(RE)R.ISS",
-    "byName": "R(RE).SII",
-}
-
 _UNIFORM_RE = re.compile(r"^[IS]{3}$")
 _HYBRID_RE = re.compile(r"^([ISH]{3})<>([IS]{3})$")
 _READBACK_RE = re.compile(r"^(\(RE\)|[IER])(\(RE\)|[IER])\.([IS]{3})$")
@@ -149,9 +131,6 @@ def print_spec(spec: StrategySpec) -> str:
     raise NotationError(f"not a strategy spec: {spec!r}")
 
 
-_ALIAS_BY_SYSTEMATIC = {v: k for k, v in ALIASES.items()}
-
-
 def alias_of(spec: StrategySpec) -> str | None:
     """The short alias for spec, if one exists."""
     return _ALIAS_BY_SYSTEMATIC.get(print_spec(spec))
@@ -168,17 +147,6 @@ class ValidationReport:
     spec: StrategySpec
     verdict: str
     diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
-
-
-VERDICTS = (
-    "valid-uniform",
-    "valid-hybrid-balanced",
-    "valid-hybrid-unbalanced",
-    "valid-readback",
-    "degenerate-uniform",
-    "spurious",
-    "invalid",
-)
 
 
 def validate(spec: StrategySpec | str) -> ValidationReport:
@@ -493,6 +461,16 @@ _READBACK_ROWS = (
     (None, "RE.SSI", _HNF),
     (None, "R(RE).SSI", _NF),
 )
+
+
+# alias -> systematic encoding, from the alias column of the rows above.
+ALIASES: dict[str, str] = {
+    row[0]: row[1]
+    for row in _UNIFORM_ROWS + _HYBRID_ROWS + _READBACK_ROWS
+    if row[0] is not None
+}
+
+_ALIAS_BY_SYSTEMATIC = {v: k for k, v in ALIASES.items()}
 
 
 def catalogue() -> tuple[CatalogueEntry, ...]:

@@ -89,6 +89,39 @@ def test_tree_json_names_its_stages(capsys, strategy, stages):
     blob = json.loads(out)
     assert [s["stage"] for s in blob["stages"]] == stages
     assert blob["stages"][-1]["tree"]["output"] == "\\y.y"
+    assert out == json.dumps(blob) + "\n"
+
+
+# bn walks the 1,500 nested applications of the numeral's body one
+# derivation level each, past Python's recursion limit.
+DEEP_TREE = ("tree", "-s", "bn", "#church:1500 (\\y.y) z")
+
+
+def test_tree_text_prints_a_deep_derivation(capsys):
+    code, out, _ = run(capsys, *DEEP_TREE)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "derivation:"
+    assert max(len(line) - len(line.lstrip()) for line in lines) > 2 * 1500
+    assert lines[-1].strip() == "VAR  z  =>  z"
+
+
+def test_tree_json_writes_a_deep_derivation(capsys):
+    code, out, _ = run(capsys, *DEEP_TREE, "--json")
+    assert code == 0
+    # json.loads recurses as well, so check the nesting by hand; printed
+    # terms hold no brackets or braces.
+    depth = deepest = 0
+    for char in out:
+        if char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char in "]}":
+            depth -= 1
+    assert depth == 0
+    assert deepest > 2 * 1500
+    assert out.count('"kind": ') == len(
+        run(capsys, *DEEP_TREE)[1].splitlines()) - 1
 
 
 def test_classify_lists_forms(capsys):
@@ -220,6 +253,19 @@ def test_demo_factorial_unknown_row(capsys):
     code, _, err = run(capsys, "demo-factorial", "-s", "zz")
     assert code == 1
     assert "zz" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("corpus-gen", "--size-max", "0"), "error: size_max must be at least 1"),
+    (("corpus-gen", "--size-max", "1"), "error: closed terms need size_max"),
+    (("demo-factorial", "--n", "-1"), "error: --n must be at least 0, got -1"),
+], ids=["size-max-0", "closed-size-max-1", "negative-n"])
+def test_out_of_range_numbers_are_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
 
 
 def test_strict_fuel_exit_code(capsys):

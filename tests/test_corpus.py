@@ -35,20 +35,6 @@ def term_size(term):
     return n
 
 
-def count_redexes(term):
-    n = 0
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Lam):
-            stack.append(t.body)
-        elif isinstance(t, App):
-            if isinstance(t.operator, Lam):
-                n += 1
-            stack.extend((t.operator, t.operand))
-    return n
-
-
 def test_generate_minimal_config():
     terms = generate(GenConfig(seed=1, size_max=1, free_var_pool=("x",)), 1)
     assert terms == [Var("x")]
@@ -80,14 +66,6 @@ def test_generate_closed_needs_room_for_a_binder():
 def test_gen_config_validates():
     with pytest.raises(ValueError):
         GenConfig(seed=1, size_max=0)
-    with pytest.raises(ValueError):
-        GenConfig(seed=1, size_max=5, redex_bias=1.5)
-
-
-def test_redex_bias_shifts_the_mix():
-    rich = generate(GenConfig(seed=5, size_max=25, redex_bias=1.0), 150)
-    poor = generate(GenConfig(seed=5, size_max=25, redex_bias=0.0), 150)
-    assert sum(map(count_redexes, rich)) > sum(map(count_redexes, poor))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -193,10 +193,17 @@ def test_absorption_negative_rows():
 
 
 def test_absorption_counterexample_cap():
-    terms = [parse_term("(\\x.y) #Omega")] * 4
-    report = check_absorption("bv", "bn", terms, fuel=2000, cap=2)
-    assert report.verdicts[VIOLATED] == 4
-    assert len(report.counterexamples) == 2
+    terms = [parse_term("(\\x.y) #Omega")] * 12
+    report = check_absorption("bv", "bn", terms, fuel=2000)
+    assert report.verdicts == {VIOLATED: 12}
+    assert len(report.counterexamples) == 10
+
+
+def test_compare_corpus_counterexample_cap():
+    terms = [parse_term("x (x ((\\a.a) u))")] * 12
+    report = compare_corpus("no", "hr", terms, fuel=1000)
+    assert report.verdicts == {DIFFER: 12}
+    assert len(report.counterexamples) == 10
 
 
 def test_fusion_row_clean_on_small_corpus():
@@ -315,10 +322,20 @@ def test_verdicts_ignore_corpus_order_and_chunking(driver, data):
 
 
 def test_factorial_term_group_routing():
-    for alias, source in [("bn", "#Y #F_direct #church:2"),
-                          ("bv", "#Z #F_thunkLambda #church:2 #I"),
-                          ("ho", "#Y #F_delimcps #church:2 #I")]:
-        assert alpha_eq(factorial_term(alias, 2), parse_term(source))
+    programs = {
+        "#Y #F_direct #church:2": ("bn", "IIS", "hr", "he", "no", "hn",
+                                   "not-a-row"),
+        "#Z #F_thunkLambda #church:2 #I": ("bv", "am", "sn", "ha"),
+        "#Y #F_delimcps #church:2 #I": ("ho", "so", "bs"),
+    }
+    for source, names in programs.items():
+        for name in names:
+            assert alpha_eq(factorial_term(name, 2), parse_term(source)), name
+    table = [r["strategy"] for r in demo_factorial(n_values=(0,), fuel=0)]
+    assert len(table) == 13
+    assert set(table) | {"not-a-row"} == {n for ns in programs.values()
+                                          for n in ns}
+    assert lab.FULL_REDUCING == ("no", "hn", "sn", "ha", "so", "bs")
 
 
 def test_demo_factorial_filter_and_rows():
