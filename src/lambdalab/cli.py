@@ -46,7 +46,6 @@ from .notation import (
 )
 from .terms import (
     FormClass,
-    Lam,
     ParseError,
     ResourceLimitError,
     Term,
@@ -96,33 +95,13 @@ def _dumps(value, indent) -> str:
     return "".join(parts)
 
 
-def _all_names(term: Term) -> set[str]:
-    names = set()
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        cls = node.__class__
-        if cls is Var:
-            names.add(node.name)
-        elif cls is Lam:
-            names.add(node.param)
-            stack.append(node.body)
-        else:
-            stack.append(node.operator)
-            stack.append(node.operand)
-    return names
-
-
 def _bracketed(term: Term, event: TraceEvent) -> str:
     """Render term with the redex of event wrapped in [...]."""
-    # A placeholder longer than every identifier in the term can be
-    # substituted back out of the printed string without collisions.
-    width = max((len(n) for n in _all_names(term)), default=0) + 1
-    marker = Var("m" * width)
+    # Names print verbatim, so a variable named [redex] is the bracket.
+    marker = Var(f"[{print_term(event.redex)}]")
     _, marked = reconstruct_sequence(term, [TraceEvent(
         event.step_index, event.position, event.redex, marker)])
-    return print_term(marked).replace(marker.name,
-                                      f"[{print_term(event.redex)}]")
+    return print_term(marked)
 
 
 def _status_line(outcome) -> str:
@@ -328,7 +307,7 @@ def _cmd_corpus_gen(args) -> int:
         cfg = GenConfig(seed=args.seed, size_max=args.size_max,
                         free_var_pool=pool)
         terms = generate(cfg, args.n)
-    except ValueError as exc:  # a size bound no term fits
+    except ValueError as exc:  # a negative count or an unfit size bound
         return _error(exc)
     if args.out:
         save_corpus(args.out, terms)

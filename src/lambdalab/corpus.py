@@ -47,6 +47,8 @@ def generate(cfg: GenConfig, n: int) -> list[Term]:
     Deterministic per (cfg, n): term i is produced by its own stream
     seeded from (cfg.seed, i), so extending a corpus never reshuffles
     the terms already drawn. Terms are closed when the pool is empty."""
+    if n < 0:
+        raise ValueError("n must be at least 0")
     pool = tuple(cfg.free_var_pool)
     if not pool and cfg.size_max < 2:
         raise ValueError("closed terms need size_max >= 2")

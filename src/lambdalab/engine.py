@@ -9,7 +9,8 @@ readback encoding compiles the same way: its readback pass is one more
 layer, whose body and operand slots recurse into the eval layer, into
 itself, or into both in turn, so a staged run is the eval walk followed
 by the readback layer on the same stack, drawing on one fuel budget and
-appending to one trace.
+appending to one trace. The outcome keeps the eval stage's own outcome,
+read off the run when the readback layer takes over, as its stage.
 
 Each beta contraction costs one unit of fuel and is recorded as a
 TraceEvent carrying the redex's address in the whole term at the moment
@@ -104,12 +105,15 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Result of a fuel-bounded run. trace is None when recording was off."""
+    """Result of a fuel-bounded run. trace is None when recording was off.
+    stage is the outcome of a readback encoding's eval stage once that
+    stage has converged, and None otherwise."""
 
     status: str
     result: Term | None
     trace: tuple[TraceEvent, ...] | None
     fuel_used: int
+    stage: Outcome | None = None
 
 
 class DerivationNode:
@@ -187,29 +191,22 @@ def _build_layer(spec) -> _Layer:
     return h
 
 
-# The la of a readback layer's operator position: an abstraction there
-# heads a redex, which the eval stage should have contracted.
-_REDEX_HEAD = _Layer()
-
-
 def _readback_layer(spec: ReadbackSpec, ev: _Layer) -> _Layer:
     """The readback pass of spec over its eval layer ev. A slot I is the
     identity, E is ev, R is the readback layer and (RE) is ev followed
-    by the readback layer. Operators are read back by an operator-
-    position twin that refuses abstractions, so an operator walk never
-    returns one and no contraction is reachable."""
+    by the readback layer. Readback recurses on its own only where ev
+    has walked (the slot rule validate enforces), and ev leaves no
+    abstraction in an operator position it walked, so the readback
+    layer's operator walk never contracts."""
     rb = _Layer()
-    head = _Layer()
     pick = {"I": None, "E": ev, "R": rb, "RE": ev}
     rb.la = pick[spec.la]
     rb.la_then = rb if spec.la == "RE" else None
-    head.la = _REDEX_HEAD
-    for layer in (rb, head):
-        layer.ar1 = None
-        layer.ar2 = pick[spec.ar2]
-        layer.ar2_then = rb if spec.ar2 == "RE" else None
-        layer.op1 = head
-        layer.op2 = None
+    rb.ar1 = None
+    rb.ar2 = pick[spec.ar2]
+    rb.ar2_then = rb if spec.ar2 == "RE" else None
+    rb.op1 = rb
+    rb.op2 = None
     return rb
 
 
@@ -274,6 +271,8 @@ class _Machine:
         # open, innermost last, over a stand-in whose premises are the
         # roots.
         self.opened = [DerivationNode(None)] if trees else None
+        # (value, fuel left) when a readback run's eval stage converged.
+        self.stage = None
         self._ptup = {}
         # id(operand) -> (operand, layer, depth) for an operand walk that
         # returned its own input; the entry pins the operand alive. A
@@ -353,11 +352,6 @@ class _Machine:
                     la = layer.la
                     if la is None:
                         values.append(t)
-                    elif la is _REDEX_HEAD:
-                        raise EngineError(
-                            "readback applied to non-intermediate form: "
-                            f"{t!r} heads a redex"
-                        )
                     else:
                         frames.append((_MKLAM, t))
                         path = ("B", path)
@@ -429,6 +423,8 @@ class _Machine:
                 opened.pop().output = values[-1]
             else:  # _THEN
                 _, layer, path = frame
+                if path is None:  # the root THEN: the eval stage is done
+                    self.stage = (values[-1], self.fuel)
                 frames.append((_EV, layer, values.pop(), path))
         return values.pop()
 
@@ -481,33 +477,17 @@ class _Machine:
 
 
 def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
-                 trees=False, stage1=None):
+                 trees=False):
     """Shared driver. A readback encoding runs in one walk: its readback
-    layer waits in a THEN frame under the eval stage. An eval-stage
-    Outcome passed as stage1 stands in for that stage: its fuel is
-    spent, its events open the trace, and the readback layer starts from
-    its result. An unconverged stage1 is returned as it is."""
+    layer waits in the root THEN frame under the eval stage."""
     if fuel < 0:
         raise EngineError("fuel budget must be nonnegative")
-    spent = 0
-    if stage1 is not None:
-        if stage1.status != CONVERGED:
-            return stage1, None
-        spent = stage1.fuel_used
-        if spent > fuel:
-            raise EngineError("the eval stage spent more than the fuel budget")
-    machine = _Machine(fuel - spent, record_trace, max_nodes, max_frames, trees)
-    if stage1 is not None and machine.record:
-        machine.events.extend(stage1.trace)
+    machine = _Machine(fuel, record_trace, max_nodes, max_frames, trees)
     frames = machine.frames
     if isinstance(spec, ReadbackSpec):
         ev = _build_layer(spec.ev)
-        rb = _readback_layer(spec, ev)
-        if stage1 is None:
-            frames.append((_THEN, rb, None))
-            frames.append((_EV, ev, term, None))
-        else:
-            frames.append((_EV, rb, stage1.result, None))
+        frames.append((_THEN, _readback_layer(spec, ev), None))
+        frames.append((_EV, ev, term, None))
     else:
         frames.append((_EV, _build_layer(spec), term, None))
     exhausted = False
@@ -516,14 +496,18 @@ def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
         result = machine.run()
     except _OutOfFuel:
         exhausted = True
-    if machine.record:
-        trace = tuple(machine.events)
-    else:
-        trace = None
+    trace = tuple(machine.events) if machine.record else None
+    stage = None
+    if machine.stage is not None:
+        # The eval stage recorded one event per unit of fuel it spent.
+        value, left = machine.stage
+        spent = fuel - left
+        stage = Outcome(CONVERGED, value,
+                        None if trace is None else trace[:spent], spent)
     if exhausted:
-        outcome = Outcome(FUEL_EXHAUSTED, None, trace, fuel)
+        outcome = Outcome(FUEL_EXHAUSTED, None, trace, fuel, stage)
     else:
-        outcome = Outcome(CONVERGED, result, trace, fuel - machine.fuel)
+        outcome = Outcome(CONVERGED, result, trace, fuel - machine.fuel, stage)
     roots = None
     if trees:
         if exhausted:
@@ -540,26 +524,13 @@ def evaluate(spec, term, fuel=DEFAULT_FUEL, *, record_trace=True,
     spec and term may be given as text. Every beta contraction consumes
     one fuel unit; on exhaustion the outcome keeps the trace produced so
     far and reports fuel_used equal to the budget. record_trace=False
-    skips trace construction, which matters on large sweeps.
+    skips trace construction, which matters on large sweeps. When a
+    readback encoding's eval stage converges, outcome.stage is the
+    outcome evaluate(spec.ev, term, fuel) gives.
     """
     spec = _coerce_spec(spec)
     term = _coerce_term(term)
     outcome, _ = _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames)
-    return outcome
-
-
-def resume_readback(spec: ReadbackSpec, stage1: Outcome, fuel: int, *,
-                    max_nodes=DEFAULT_MAX_NODES,
-                    max_frames=DEFAULT_MAX_FRAMES) -> Outcome:
-    """The staged run of spec, resumed from stage1, the outcome of its
-    eval stage under the same fuel budget.
-
-    Equal to evaluate(spec, term, fuel) on the term stage1 ran: the
-    readback walk spends what the eval stage left, its step indices
-    continue the eval stage's, and the trace (recorded when stage1 has
-    one) covers both stages. An unconverged stage1 is the answer."""
-    outcome, _ = _run_machine(spec, None, fuel, stage1.trace is not None,
-                              max_nodes, max_frames, stage1=stage1)
     return outcome
 
 

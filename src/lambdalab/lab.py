@@ -35,7 +35,6 @@ from .engine import (
     Outcome,
     TraceEvent,
     evaluate,
-    resume_readback,
 )
 from .notation import (
     NotationError,
@@ -419,12 +418,12 @@ def check_fusion_row(er, corpus, fuel=DEFAULT_FUEL, *,
 
 
 def _fusion_entry(term, er, hy, mcr, fuel, max_nodes):
-    stage1 = evaluate(er.ev, term, fuel, max_nodes=max_nodes)
-    staged = resume_readback(er, stage1, fuel, max_nodes=max_nodes)
+    staged = evaluate(er, term, fuel, max_nodes=max_nodes)
+    stage1 = staged.stage
     fused = evaluate(hy, term, fuel, max_nodes=max_nodes)
     verdict = _compare_outcomes(staged, fused)
     extra = None
-    if stage1.status == CONVERGED:
+    if stage1 is not None:
         if _absorption(_then(hy, stage1, fuel, max_nodes), fused) == VIOLATED:
             extra = "hybrid-absorb-eval-violated"
         elif _absorption(_then(er.ev, stage1, fuel, max_nodes),

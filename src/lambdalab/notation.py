@@ -248,18 +248,12 @@ def _validate_hybrid(spec: HybridSpec) -> ValidationReport:
     return ValidationReport(spec, kind)
 
 
-# Which readback slots may sit over which eval slots: where eval already
-# evaluated (S), readback may only skip or recurse; where eval was the
-# identity (I), readback may skip, evaluate, or do both.
-_RB_OVER_EVAL = {"I": ("I", "E", "RE"), "S": ("I", "R")}
-
-
 def _validate_readback(spec: ReadbackSpec) -> ValidationReport:
     ev = spec.ev
     diags = []
     pairs = (("la", spec.la, ev.la), ("ar2", spec.ar2, ev.ar2))
     for label, rslot, eslot in pairs:
-        if rslot not in _RB_OVER_EVAL[eslot]:
+        if (rslot, eslot) not in _COMPOSE:
             diags.append(
                 Diagnostic(
                     "ER2",
@@ -297,6 +291,9 @@ class FusionResult:
 
 # compose(readback slot, eval slot) -> hybrid slot: sequencing the eval
 # stage's action with the readback stage's action on the same premise.
+# Its keys are the slots readback may sit over: where eval already
+# evaluated (S), readback may only skip or recurse; where eval was the
+# identity (I), readback may skip, evaluate, or do both.
 _COMPOSE = {
     ("I", "I"): "I",
     ("E", "I"): "S",

@@ -9,7 +9,6 @@ corpus terms at fuel 0, 3 and 300 (max_nodes 100000), gives the same:
 - status, fuel_used, printed result and trace events of evaluate, traced
   and untraced;
 - derivation_forest, node by node;
-- resume_readback from the eval stage, for the readback rows;
 - error type and message, wherever one of these runs raises.
 
 They print the same second (lab) digest when these agree:
@@ -52,7 +51,6 @@ from lambdalab import (  # noqa: E402
     print_spec,
     print_term,
 )
-from lambdalab.engine import resume_readback  # noqa: E402
 
 FUELS = (0, 3, 300)
 MAX_NODES = 100000
@@ -148,10 +146,6 @@ def main():
                         max_nodes=MAX_NODES)))
                 record += _attempt(lambda: _forest(derivation_forest(
                     spec, term, fuel, max_nodes=MAX_NODES)))
-                if isinstance(spec, ReadbackSpec):
-                    record += _attempt(lambda: _outcome(resume_readback(
-                        spec, evaluate(spec.ev, term, fuel, max_nodes=MAX_NODES),
-                        fuel, max_nodes=MAX_NODES)))
                 digest.update("\n".join(record).encode())
                 digest.update(b"\n")
     print(digest.hexdigest())

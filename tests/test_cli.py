@@ -259,7 +259,8 @@ def test_demo_factorial_unknown_row(capsys):
     (("corpus-gen", "--size-max", "0"), "error: size_max must be at least 1"),
     (("corpus-gen", "--size-max", "1"), "error: closed terms need size_max"),
     (("demo-factorial", "--n", "-1"), "error: --n must be at least 0, got -1"),
-], ids=["size-max-0", "closed-size-max-1", "negative-n"])
+    (("corpus-gen", "--n", "-5"), "error: n must be at least 0"),
+], ids=["size-max-0", "closed-size-max-1", "negative-n", "negative-corpus-n"])
 def test_out_of_range_numbers_are_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -63,6 +63,13 @@ def test_generate_closed_needs_room_for_a_binder():
         generate(GenConfig(seed=1, size_max=1), 1)
 
 
+def test_generate_refuses_a_negative_count():
+    cfg = GenConfig(seed=1, size_max=5, free_var_pool=("x",))
+    with pytest.raises(ValueError, match="n must be at least 0"):
+        generate(cfg, -5)
+    assert generate(cfg, 0) == []
+
+
 def test_gen_config_validates():
     with pytest.raises(ValueError):
         GenConfig(seed=1, size_max=0)

@@ -28,7 +28,6 @@ from lambdalab import (
     reconstruct_sequence,
     sequence_from_tree,
 )
-from lambdalab.engine import resume_readback
 from strategies import closed_terms
 
 SPEC_POOL = ("bn", "bv", "ao", "he", "IIS", "SIS", "no", "hn", "sn", "ha",
@@ -85,12 +84,9 @@ def test_negative_fuel_rejected():
     # A negative budget never reaches zero, so a divergent run would spin
     # until some other guard stopped it: every entry point refuses it.
     omega = "(\\x.x x) (\\x.x x)"
-    by_value = parse_spec("byValue")
     runs = [
         lambda: evaluate("bn", omega, -1),
         lambda: derivation_forest("bn", omega, -1, max_nodes=20000),
-        lambda: resume_readback(by_value, evaluate("bv", "x", 0), -1),
-        lambda: resume_readback(by_value, evaluate("bv", omega, 0), -1),
     ]
     for run in runs:
         with pytest.raises(EngineError,
@@ -120,24 +116,34 @@ def test_readback_staging_concatenates(spec):
         term = parse_term(source)
         full = evaluate(spec, term)
         assert full.status == CONVERGED
-        stage1 = evaluate(spec.ev, term)
-        assert stage1.fuel_used > 0
-        staged = resume_readback(spec, stage1, 100000)
-        assert staged.trace == full.trace
-        assert staged.trace[:len(stage1.trace)] == stage1.trace
-        assert alpha_eq(staged.result, full.result)
-        assert staged.fuel_used == full.fuel_used
+        assert full.stage == evaluate(spec.ev, term)
+        assert full.stage.fuel_used > 0
         # Stage two step indices continue where stage one stopped.
         assert [e.step_index for e in full.trace] == list(range(len(full.trace)))
-        readback_steps += len(full.trace) - len(stage1.trace)
+        readback_steps += len(full.trace) - len(full.stage.trace)
         # Under every smaller budget too, including ones the eval stage or
         # the readback walk runs out of.
         for fuel in range(full.fuel_used + 1):
-            resumed = resume_readback(spec, evaluate(spec.ev, term, fuel), fuel)
-            assert resumed == evaluate(spec, term, fuel)
-        with pytest.raises(EngineError):
-            resume_readback(spec, stage1, stage1.fuel_used - 1)
+            for traced in (True, False):
+                staged = evaluate(spec, term, fuel, record_trace=traced)
+                alone = evaluate(spec.ev, term, fuel, record_trace=traced)
+                if alone.status != CONVERGED:
+                    assert staged.stage is None
+                    continue
+                assert staged.stage == alone
+                if traced:
+                    assert staged.trace[:len(alone.trace)] == alone.trace
     assert readback_steps > 0
+
+
+# Uniform, balanced hybrid and unbalanced hybrid rows.
+@pytest.mark.parametrize("spec", ("bn", "bv", "no", "sn", "ha"))
+def test_eval_apply_runs_have_no_stage(spec):
+    for source in STAGING_TERMS:
+        outcome = evaluate(spec, source)
+        assert outcome.status == CONVERGED
+        assert outcome.fuel_used > 0
+        assert outcome.stage is None
 
 
 _FRAME_HUNGRY = parse_term("#Y (\\f.\\x. x (f x))")
@@ -146,8 +152,7 @@ _GUARDED_RUNS = {
     "evaluate": lambda **kw: evaluate("no", _FRAME_HUNGRY, 1000, **kw),
     "compare": lambda **kw: compare("no", "bn", _FRAME_HUNGRY, 1000, **kw),
     # byName's eval stage converges; its readback unfolds the fixed point
-    "resume_readback": lambda **kw: resume_readback(
-        _BY_NAME, evaluate(_BY_NAME.ev, _FRAME_HUNGRY, 1000), 1000, **kw),
+    "readback": lambda **kw: evaluate(_BY_NAME, _FRAME_HUNGRY, 1000, **kw),
     "derivation_forest": lambda **kw: derivation_forest(
         "no", _FRAME_HUNGRY, 1000, **kw),
 }
@@ -162,16 +167,6 @@ def test_frame_limit_stops_the_run(run):
 
 def test_frame_hungry_term_runs_out_of_fuel_by_default():
     assert evaluate("no", _FRAME_HUNGRY, 1000).status == FUEL_EXHAUSTED
-
-
-@pytest.mark.parametrize("fuel", range(6))
-def test_readback_refuses_a_redex_before_spending_fuel(fuel):
-    # bn leaves the operand's redex for byValue's eval stage to contract;
-    # a readback resumed from it must refuse the redex before walking
-    # its operator, whatever fuel is left.
-    term = parse_term("x ((\\a.(\\b.b) a) y)")
-    with pytest.raises(EngineError, match="heads a redex"):
-        resume_readback(parse_spec("byValue"), evaluate("bn", term, fuel), fuel)
 
 
 def test_derivation_tree_requires_convergence():
