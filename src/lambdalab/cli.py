@@ -34,6 +34,7 @@ from .lab import (
     trace_json,
 )
 from .notation import (
+    REJECTED,
     NotationError,
     ReadbackSpec,
     alias_of,
@@ -117,29 +118,21 @@ def _finish(args, outcome) -> int:
 
 
 def _cmd_eval(args) -> int:
+    traced = args.command == "trace"
     term = parse_term(args.term)
     outcome = evaluate(parse_spec(args.strategy), term, args.fuel,
-                       record_trace=False)
+                       record_trace=traced)
     if args.json:
         _emit(trace_json(args.strategy, term, outcome))
     else:
-        if outcome.status == CONVERGED:
+        if traced:
+            states = reconstruct_sequence(term, outcome.trace)
+            for state, event in zip(states, outcome.trace):
+                print(_bracketed(state, event))
+            print(print_term(states[-1]))
+        elif outcome.status == CONVERGED:
             print(print_term(outcome.result))
         print(_status_line(outcome))
-    return _finish(args, outcome)
-
-
-def _cmd_trace(args) -> int:
-    term = parse_term(args.term)
-    outcome = evaluate(parse_spec(args.strategy), term, args.fuel)
-    if args.json:
-        _emit(trace_json(args.strategy, term, outcome))
-        return _finish(args, outcome)
-    states = reconstruct_sequence(term, outcome.trace)
-    for state, event in zip(states, outcome.trace):
-        print(_bracketed(state, event))
-    print(print_term(states[-1]))
-    print(_status_line(outcome))
     return _finish(args, outcome)
 
 
@@ -278,7 +271,7 @@ def _cmd_validate(args) -> int:
         print(report.verdict)
         for diag in report.diagnostics:
             print(f"  {diag.proviso}: {diag.message}")
-    return 1 if report.verdict in ("spurious", "invalid") else 0
+    return 1 if report.verdict in REJECTED else 0
 
 
 def _cmd_catalogue(args) -> int:
@@ -356,14 +349,8 @@ def _cmd_demo_factorial(args) -> int:
         rows = demo_factorial((args.n,), args.fuel, strategies=only)
     if args.json:
         _emit([
-            {
-                "strategy": row["strategy"],
-                "n": row["n"],
-                "status": row["status"],
-                "result": _render_expected(row["result"]),
-                "expected": _render_expected(row["expected"]),
-                "ok": row["ok"],
-            }
+            {**row, "result": _render_expected(row["result"]),
+             "expected": _render_expected(row["expected"])}
             for row in rows
         ])
         return 0
@@ -411,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--strategy", required=True)
     p.add_argument("term")
     _add_common(p)
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("tree", help="show the big-step derivation")
     p.add_argument("-s", "--strategy", required=True)

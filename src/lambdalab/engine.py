@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .notation import (
+    REJECTED,
     ReadbackSpec,
     StrategySpec,
     UniformSpec,
@@ -77,30 +78,18 @@ class EngineError(ValueError):
     """Raised for strategies the engine refuses and for broken replays."""
 
 
+@dataclass(slots=True, repr=False)
 class TraceEvent:
     """One beta contraction: its address, redex, and contractum."""
 
-    __slots__ = ("step_index", "position", "redex", "contractum")
-
-    def __init__(self, step_index, position, redex, contractum):
-        self.step_index = step_index
-        self.position = position
-        self.redex = redex
-        self.contractum = contractum
+    step_index: int
+    position: tuple[str, ...]
+    redex: Term
+    contractum: Term
 
     def __repr__(self):
         pos = "".join(self.position) or "root"
         return f"TraceEvent({self.step_index}, {pos}, {self.redex!r} -> {self.contractum!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, TraceEvent):
-            return NotImplemented
-        return (
-            self.step_index == other.step_index
-            and self.position == other.position
-            and self.redex == other.redex
-            and self.contractum == other.contractum
-        )
 
 
 @dataclass(frozen=True)
@@ -210,20 +199,11 @@ def _readback_layer(spec: ReadbackSpec, ev: _Layer) -> _Layer:
     return rb
 
 
-_RUNNABLE = (
-    "valid-uniform",
-    "valid-hybrid-balanced",
-    "valid-hybrid-unbalanced",
-    "valid-readback",
-    "degenerate-uniform",
-)
-
-
 def _coerce_spec(spec) -> StrategySpec:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     report = validate(spec)
-    if report.verdict not in _RUNNABLE:
+    if report.verdict in REJECTED:
         detail = "; ".join(f"{d.proviso}: {d.message}" for d in report.diagnostics)
         raise EngineError(
             f"cannot run {print_spec(spec)} ({report.verdict}): {detail}"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .engine import (
     CONVERGED,
@@ -93,15 +93,7 @@ class CorpusReport:
     mcr: bool | None = None
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "seed": self.seed,
-            "fuel": self.fuel,
-            "n": self.n,
-            "verdicts": dict(self.verdicts),
-            "counterexamples": list(self.counterexamples),
-        }
+        return {k: v for k, v in asdict(self).items() if k != "mcr"}
 
 
 _TERM_STR_LIMIT = 100000

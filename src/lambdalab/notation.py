@@ -18,14 +18,15 @@ each premise of its abstraction and application rules:
 validate() classifies an encoding: the valid kinds, the degenerate ones
 that collapse to a uniform evaluator, the spurious hybrids whose extra
 structure adds no evaluation, and invalid readbacks. fuse() rewrites a
-staged readback into its one-step-equivalent hybrid; defuse() inverts
-that when possible.
+staged readback into its one-step-equivalent hybrid, and defuse()
+returns fuse's preimage: the readbacks that fuse to a given hybrid.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import product
 
 from .terms import FormClass
 
@@ -67,6 +68,9 @@ class HybridSpec:
         return (self.la, self.ar1, self.ar2)
 
 
+_READBACK_SLOTS = ("I", "E", "R", "RE")
+
+
 @dataclass(frozen=True)
 class ReadbackSpec:
     la: str
@@ -75,7 +79,7 @@ class ReadbackSpec:
 
     def __post_init__(self):
         for slot in (self.la, self.ar2):
-            if slot not in ("I", "E", "R", "RE"):
+            if slot not in _READBACK_SLOTS:
                 raise NotationError(
                     f"readback slot must be I, E, R or (RE), got {slot!r}"
                 )
@@ -147,6 +151,11 @@ class ValidationReport:
     spec: StrategySpec
     verdict: str
     diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
+
+
+# The verdicts that reject an encoding: the engine will not run it, fuse
+# will not fuse it, and `lambdalab validate` exits 1 on it.
+REJECTED = ("spurious", "invalid")
 
 
 def validate(spec: StrategySpec | str) -> ValidationReport:
@@ -302,8 +311,6 @@ _COMPOSE = {
     ("R", "S"): "H",
 }
 
-_DECOMPOSE = {(h, e): r for (r, e), h in _COMPOSE.items()}
-
 
 def fuse(spec: ReadbackSpec | str) -> FusionResult:
     """The hybrid evaluator one-step-equivalent to a staged readback.
@@ -319,7 +326,7 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
     if not isinstance(spec, ReadbackSpec):
         raise NotationError(f"fuse needs a readback encoding, got {print_spec(spec)}")
     report = validate(spec)
-    if report.verdict != "valid-readback":
+    if report.verdict in REJECTED:
         raise NotationError(
             f"cannot fuse {print_spec(spec)}: {report.verdict}"
             + "".join(f"; {d.proviso}: {d.message}" for d in report.diagnostics)
@@ -335,27 +342,20 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
 
 
 def defuse(spec: HybridSpec | str) -> frozenset[ReadbackSpec]:
-    """Readback encodings that fuse to the given hybrid.
+    """Readback encodings that fuse to the given hybrid: fuse's preimage.
 
-    Only structurally balanced hybrids (ar1 equal to the subsidiary's)
-    decompose; unbalanced ones return the empty set, as do hybrids whose
-    slot/subsidiary pairing has no readback preimage.
+    Every candidate shares the hybrid's subsidiary as its eval stage, so
+    unbalanced hybrids (ar1 unlike the subsidiary's) have none.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if not isinstance(spec, HybridSpec):
         raise NotationError(f"defuse needs a hybrid, got {print_spec(spec)}")
-    sub = spec.subsidiary
-    if spec.ar1 != sub.ar1:
-        return frozenset()
-    la = _DECOMPOSE.get((spec.la, sub.la))
-    ar2 = _DECOMPOSE.get((spec.ar2, sub.ar2))
-    if la is None or ar2 is None:
-        return frozenset()
-    rb = ReadbackSpec(la, ar2, sub)
-    if validate(rb).verdict != "valid-readback":
-        return frozenset()
-    return frozenset((rb,))
+    candidates = (ReadbackSpec(la, ar2, spec.subsidiary)
+                  for la, ar2 in product(_READBACK_SLOTS, repeat=2))
+    return frozenset(rb for rb in candidates
+                     if validate(rb).verdict not in REJECTED
+                     and fuse(rb).hybrid == spec)
 
 
 @dataclass(frozen=True)
@@ -430,33 +430,33 @@ _HYBRID_ROWS = (
 
 _READBACK_ROWS = (
     # over bn
-    (None, "I(RE).III", _WNF),
-    (None, "E(RE).III", _WNF),
-    (None, "(RE)I.III", _HNF),
-    (None, "(RE)E.III", _VHNF),
-    (None, "(RE)(RE).III", _NF),
+    (None, "I(RE).III"),
+    (None, "E(RE).III"),
+    (None, "(RE)I.III"),
+    (None, "(RE)E.III"),
+    (None, "(RE)(RE).III"),
     # over IIS
-    (None, "ER.IIS", _WNF),
-    (None, "(RE)I.IIS", _VHNF),
-    (None, "(RE)R.IIS", _NF),
+    (None, "ER.IIS"),
+    (None, "(RE)I.IIS"),
+    (None, "(RE)R.IIS"),
     # over he
-    (None, "I(RE).SII", _WNF),
-    (None, "RE.SII", _HNF),
-    ("byName", "R(RE).SII", _NF),
+    (None, "I(RE).SII"),
+    (None, "RE.SII"),
+    ("byName", "R(RE).SII"),
     # over ISI
-    (None, "I(RE).ISI", _WNF),
-    (None, "E(RE).ISI", _WNF),
-    (None, "(RE)I.ISI", _HNF),
-    (None, "(RE)E.ISI", _VHNF),
-    (None, "(RE)(RE).ISI", _NF),
+    (None, "I(RE).ISI"),
+    (None, "E(RE).ISI"),
+    (None, "(RE)I.ISI"),
+    (None, "(RE)E.ISI"),
+    (None, "(RE)(RE).ISI"),
     # over bv
-    (None, "ER.ISS", _WNF),
-    (None, "(RE)I.ISS", _VHNF),
-    ("byValue", "(RE)R.ISS", _NF),
+    (None, "ER.ISS"),
+    (None, "(RE)I.ISS"),
+    ("byValue", "(RE)R.ISS"),
     # over ho
-    (None, "I(RE).SSI", _WNF),
-    (None, "RE.SSI", _HNF),
-    (None, "R(RE).SSI", _NF),
+    (None, "I(RE).SSI"),
+    (None, "RE.SSI"),
+    (None, "R(RE).SSI"),
 )
 
 
@@ -475,12 +475,16 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
 
     8 uniform evaluators, 33 hybrids, 22 readback encodings, each with
     its classification and the form family its converged results land in.
+    A readback row's form is that of the hybrid row it fuses to, since a
+    staged run and its fused hybrid converge to the same result.
     """
-    rows = []
-    for alias, text, form in _UNIFORM_ROWS:
-        rows.append(CatalogueEntry(alias, parse_spec(text), "uniform", form))
-    for alias, text, classification, form in _HYBRID_ROWS:
-        rows.append(CatalogueEntry(alias, parse_spec(text), classification, form))
-    for alias, text, form in _READBACK_ROWS:
-        rows.append(CatalogueEntry(alias, parse_spec(text), "readback", form))
+    rows = [CatalogueEntry(alias, parse_spec(text), "uniform", form)
+            for alias, text, form in _UNIFORM_ROWS]
+    rows += [CatalogueEntry(alias, parse_spec(text), classification, form)
+             for alias, text, classification, form in _HYBRID_ROWS]
+    form_of = {row.spec: row.result_form for row in rows}
+    for alias, text in _READBACK_ROWS:
+        spec = parse_spec(text)
+        rows.append(CatalogueEntry(alias, spec, "readback",
+                                   form_of[fuse(spec).hybrid]))
     return tuple(rows)

@@ -590,46 +590,37 @@ def churchN(n: int) -> Term:
     return Lam("s", Lam("z", body))
 
 
-def _build_builtins():
-    sources = [
-        ("I", r"\x.x"),
-        ("Y", r"\f.(\x.f (x x)) (\x.f (x x))"),
-        ("Z", r"\f.(\x.f (\v.x x v)) (\x.f (\v.x x v))"),
-        ("Omega", r"(\x.x x) (\x.x x)"),
-        ("True", r"\t.\f.t"),
-        ("False", r"\t.\f.f"),
-        ("Cond", r"\c.\a.\b.c a b"),
-        ("One", r"\s.\z.s z"),
-        ("IsZero", r"\n.n (\x.#False) #True"),
-        ("Mult", r"\m.\n.\s.m (n s)"),
-        ("Pred", r"\n.\s.\z.n (\g.\h.h (g s)) (\u.z) (\u.u)"),
-        (
-            "F_direct",
-            r"\f.\n.#Cond (#IsZero n) #One (#Mult n (f (#Pred n)))",
-        ),
-        (
-            "F_thunkLambda",
-            r"\f.\n.#Cond (#IsZero n) (\v.#One) (\v.#Mult n (f (#Pred n) v))",
-        ),
-        (
-            "F_cps",
-            r"\f.\n.#Cond (#IsZero n) (\k.k #One) (\k.f (#Pred n) (\x.k (#Mult n x)))",
-        ),
-        (
-            "F_delimcps",
-            r"\f.\n.\k.#Cond (#IsZero n) (k #One) (k (f (#Pred n) (#Mult n)))",
-        ),
-    ]
-    table = {}
-    global _BUILTINS
-    _BUILTINS = table
-    for name, src in sources:
-        table[name] = parse_term(src)
-    return table
-
+# Later sources splice earlier builtins, so the table fills in this order.
+_BUILTIN_SOURCES = (
+    ("I", r"\x.x"),
+    ("Y", r"\f.(\x.f (x x)) (\x.f (x x))"),
+    ("Z", r"\f.(\x.f (\v.x x v)) (\x.f (\v.x x v))"),
+    ("Omega", r"(\x.x x) (\x.x x)"),
+    ("True", r"\t.\f.t"),
+    ("False", r"\t.\f.f"),
+    ("Cond", r"\c.\a.\b.c a b"),
+    ("One", r"\s.\z.s z"),
+    ("IsZero", r"\n.n (\x.#False) #True"),
+    ("Mult", r"\m.\n.\s.m (n s)"),
+    ("Pred", r"\n.\s.\z.n (\g.\h.h (g s)) (\u.z) (\u.u)"),
+    ("F_direct", r"\f.\n.#Cond (#IsZero n) #One (#Mult n (f (#Pred n)))"),
+    (
+        "F_thunkLambda",
+        r"\f.\n.#Cond (#IsZero n) (\v.#One) (\v.#Mult n (f (#Pred n) v))",
+    ),
+    (
+        "F_cps",
+        r"\f.\n.#Cond (#IsZero n) (\k.k #One) (\k.f (#Pred n) (\x.k (#Mult n x)))",
+    ),
+    (
+        "F_delimcps",
+        r"\f.\n.\k.#Cond (#IsZero n) (k #One) (k (f (#Pred n) (#Mult n)))",
+    ),
+)
 
 _BUILTINS: dict[str, Term] = {}
-_build_builtins()
+for _name, _src in _BUILTIN_SOURCES:
+    _BUILTINS[_name] = parse_term(_src)
 
 
 def builtins() -> dict[str, Term]:

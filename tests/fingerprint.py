@@ -1,5 +1,5 @@
-"""Print two sha256 digests: one over everything the engine observably
-does, one over the lab layer built on it.
+"""Print three sha256 digests: one over everything the engine observably
+does, one over the lab layer built on it, and one over the command line.
 
 Run from the repository root with `python tests/fingerprint.py`. It
 takes no options. Two commits print the same first (engine) digest when
@@ -21,14 +21,32 @@ They print the same second (lab) digest when these agree:
 - demo_factorial for n = 0..3 at its default fuel, and the printed
   factorial_term of every row of its table for n = 0..3.
 
-So a refactor that prints both digests of its parent has changed none
-of them. pytest does not collect this file.
+They print the same third (CLI) digest when in-process runs of
+lambdalab.cli.main give the same argv, exit code, stdout and stderr
+(usage errors included, at 80 columns) for:
+
+- eval, trace and tree of every catalogue row over the paper terms at
+  fuel 300, as text and as --json --strict-fuel;
+- compare of each catalogue row with the next over the paper terms, in
+  the same two modes;
+- validate, fuse and defuse of every row, every alias and a few rejected
+  or malformed encodings, as text and --json;
+- classify, catalogue, demo-factorial, corpus-gen and corpus-run (the
+  last two with --out into a scratch directory), and the error paths of
+  each: parse errors, rejected specs, out-of-range numbers, missing
+  files and usage errors.
+
+So a refactor that prints all three digests of its parent has changed
+none of them. pytest does not collect this file.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
@@ -51,6 +69,7 @@ from lambdalab import (  # noqa: E402
     print_spec,
     print_term,
 )
+from lambdalab.cli import main as cli_main  # noqa: E402
 
 FUELS = (0, 3, 300)
 MAX_NODES = 100000
@@ -131,6 +150,101 @@ def lab_digest(terms):
     return hashlib.sha256("\n".join(record).encode()).hexdigest()
 
 
+CLI_FUEL = "300"
+# Encodings validate, fuse and defuse refuse or cannot parse.
+ODD_SPECS = ("II.III", "EE.SSS", "I(RE).SSS", "SSS<>III", "HHH<>III",
+             "HXH<>ISS", "(RE.ISS", "zz9")
+BAD_TERMS = ("(((", "\\x.", "#Nope", "x )")
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaped error is part of the record
+            code = f"raised|{type(exc).__name__}|{exc}"
+    return json.dumps([list(argv), code, out.getvalue(), err.getvalue()])
+
+
+def _cli_argvs(rows, terms):
+    """Every command line the CLI digest runs, in order."""
+    modes = ([], ["--json", "--strict-fuel"])
+    for spec in rows:
+        for term in terms:
+            for command in ("eval", "trace", "tree"):
+                for mode in modes:
+                    yield [command, "-s", spec, term, "--fuel", CLI_FUEL] + mode
+    for a, b in zip(rows, rows[1:]):
+        for term in terms:
+            for mode in modes:
+                yield ["compare", a, b, term, "--fuel", CLI_FUEL] + mode
+    for spec in rows + sorted(ALIASES) + list(ODD_SPECS):
+        for command in ("validate", "fuse", "defuse"):
+            yield [command, spec]
+            yield [command, spec, "--json"]
+    for term in terms + list(BAD_TERMS):
+        yield ["classify", term]
+        yield ["classify", term, "--json"]
+        yield ["eval", "-s", "bv", term, "--fuel", CLI_FUEL]
+    for spec in ODD_SPECS:
+        yield ["eval", "-s", spec, "x"]
+        yield ["trace", "-s", spec, "x", "--json"]
+        yield ["tree", "-s", spec, "x"]
+        yield ["compare", "bv", spec, "x"]
+    for mode in ([], ["--json"]):
+        yield ["catalogue"] + mode
+        yield ["demo-factorial", "--n", "2"] + mode
+        yield ["demo-factorial", "-s", "no", "--n", "3", "--fuel", "40"] + mode
+        yield ["corpus-gen", "--seed", "4", "--size-max", "12", "--n", "8"] + mode
+        yield ["corpus-gen", "--seed", "3", "--size-max", "10", "--n", "6",
+               "--pool", "x,y"] + mode
+        yield ["corpus-gen", "--seed", "4", "--size-max", "12", "--n", "8",
+               "--out", "c.lam"] + mode
+        yield ["corpus-run", "bn", "no", "c.lam", "--fuel", "2000"] + mode
+        yield ["corpus-run", "bv", "am", "c.lam", "--fuel", "300",
+               "--seed", "5"] + mode
+        yield ["corpus-run", "bn", "no", "missing.lam"] + mode
+        yield ["corpus-run", "bn", "no", "bad.lam"] + mode
+    yield ["corpus-run", "bn", "no", "c.lam", "--fuel", "2000", "--out",
+           "report.json"]
+    yield ["eval", "-s", "bv", "x", "--fuel", "-1"]
+    yield ["trace", "-s", "bv", "x", "--fuel", "-1"]
+    yield ["demo-factorial", "-s", "zz"]
+    yield ["demo-factorial", "--n", "-1"]
+    for argv in (["--size-max", "0"], ["--size-max", "1"], ["--n", "-5"],
+                 ["--pool", "x", "--size-max", "1"]):
+        yield ["corpus-gen"] + argv
+    for argv in ([], ["no-such-command"], ["eval", "bv"], ["eval", "-s", "bv"],
+                 ["eval", "-s", "bv", "x", "--fuel", "ten"],
+                 ["compare", "bv"], ["classify", "x", "--fuel", "3"],
+                 ["demo-factorial", "--n", "two"], ["corpus-gen", "--bogus"]):
+        yield argv
+
+
+def cli_digest():
+    rows = [print_spec(r.spec) for r in catalogue()]
+    terms = [print_term(t) for _, t in paper_corpus()]
+    os.environ["COLUMNS"] = "80"  # usage lines wrap at the terminal width
+    digest = hashlib.sha256()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with open("bad.lam", "w", encoding="utf-8") as handle:
+                handle.write("x\n(\\y.\n")
+            for argv in _cli_argvs(rows, terms):
+                digest.update(_cli(argv).encode())
+                digest.update(b"\n")
+            with open("report.json", encoding="utf-8") as handle:
+                digest.update(handle.read().encode())
+        finally:
+            os.chdir(home)
+    return digest.hexdigest()
+
+
 def main():
     corpus = generate(GenConfig(seed=1337, size_max=30), CORPUS_TERMS)
     terms = [t for _, t in paper_corpus()] + corpus
@@ -150,6 +264,7 @@ def main():
                 digest.update(b"\n")
     print(digest.hexdigest())
     print(lab_digest(corpus))
+    print(cli_digest())
 
 
 if __name__ == "__main__":

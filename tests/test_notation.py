@@ -1,4 +1,5 @@
-"""Strategy encodings: parsing, provisos, and the fuse/defuse algebra."""
+"""Strategy encodings: parsing, provisos, the fuse/defuse algebra, and
+the result forms the catalogue gives each row."""
 
 from itertools import product
 
@@ -6,24 +7,38 @@ import pytest
 
 from lambdalab import (
     ALIASES,
+    CONVERGED,
+    EngineError,
+    GenConfig,
     HybridSpec,
     NotationError,
     ReadbackSpec,
     UniformSpec,
     alias_of,
     catalogue,
+    classify,
     defuse,
+    evaluate,
     fuse,
+    generate,
+    paper_corpus,
     parse_spec,
     print_spec,
     validate,
 )
+from lambdalab.cli import main
+from lambdalab.notation import REJECTED
 
 
 def all_hybrids():
     for triple in product("ISH", repeat=3):
         for sub in product("IS", repeat=3):
             yield HybridSpec(*triple, UniformSpec(*sub))
+
+
+def all_uniforms():
+    for triple in product("IS", repeat=3):
+        yield UniformSpec(*triple)
 
 
 def all_readbacks():
@@ -231,3 +246,57 @@ def test_defuse_is_the_exact_fuse_preimage():
             continue
         want = preimage.get(print_spec(row.spec), set())
         assert set(defuse(row.spec)) == want, print_spec(row.spec)
+
+
+def test_rejection_rule_is_the_one_every_caller_applies(capsys):
+    specs = list(all_uniforms()) + list(all_hybrids()) + list(all_readbacks())
+    assert len(specs) == 352
+    mismatches = []
+    for spec in specs:
+        rejected = validate(spec).verdict in REJECTED
+        try:
+            evaluate(spec, "x", 10)
+            refused = False
+        except EngineError:
+            refused = True
+        exit_one = main(["validate", print_spec(spec)]) == 1
+        capsys.readouterr()
+        agree = {refused, exit_one}
+        if isinstance(spec, ReadbackSpec):
+            try:
+                fuse(spec)
+                agree.add(False)
+            except NotationError:
+                agree.add(True)
+        if agree != {rejected}:
+            mismatches.append(print_spec(spec))
+    assert mismatches == []
+
+
+# Converged results outside their row's form. All are open terms whose
+# result is a neutral with an unevaluated operand redex, e.g.
+# x (x ((\a.a) u)): HNF but not WNF, so not VHNF. These rows leave
+# neutral operands alone (subsidiary bn or ISI, or a readback fusing to
+# such a hybrid), and the two terms are the paper's open ones with a
+# redex under a neutral.
+OPEN_TERM_FORM_MISSES = {
+    (row, term)
+    for row in ("HIS<>III", "HSS<>ISI", "HHS<>ISI", "(RE)E.III", "(RE)E.ISI")
+    for term in ("operator-neutral-redex", "neutral-nested-redex")
+}
+
+
+def test_converged_results_land_in_the_catalogue_form():
+    paper = paper_corpus()
+    corpus = [(f"seed-1337/{i}", t) for i, t in
+              enumerate(generate(GenConfig(seed=1337, size_max=30), 200))]
+    misses = set()
+    for row in catalogue():
+        terms = paper + corpus if isinstance(row.spec, ReadbackSpec) else paper
+        for name, term in terms:
+            outcome = evaluate(row.spec, term, 3000, record_trace=False,
+                               max_nodes=250000)
+            if (outcome.status == CONVERGED
+                    and row.result_form not in classify(outcome.result)):
+                misses.add((print_spec(row.spec), name))
+    assert misses == OPEN_TERM_FORM_MISSES
