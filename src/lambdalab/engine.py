@@ -41,16 +41,47 @@ is the frame limit, so each entry keeps the deepest stack its walk
 reached, and a walk that would pass max_frames is made for real.
 Derivation-tree runs never use the memo, and neither does a readback
 (RE) operand slot, which walks its operand twice.
+
+The blackhole cuts divergent runs short, as lazy evaluators do when a
+thunk is demanded while it is being evaluated (Peyton Jones, The
+Spineless Tagless G-machine, JFP 1992). A contraction opens the
+contractum's judgment at depth d, on top of the frame at index d-1; the
+judgment is pending exactly while that frame object is still in place,
+since the frame beneath pops as soon as the judgment yields its value,
+and a tail contraction opens its contractum on the same frame, whose
+value it is. Evaluation is a function of (layer, term), so a judgment
+that opens again inside its own pending derivation never closes: from
+the repeat the machine does what it did from the first occurrence, one
+period deeper, for ever. Every 16th contraction (by the fuel left) the
+machine records its contractum judgment by depth, frame and key (layer,
+structural hash); entries hold no term. A key that matches a pending
+entry pins that one term as a candidate, and the next sampled
+occurrence of the key inside it confirms the repeat if the two terms
+are equal trees with the same sharing. Sharing matters because
+substitute memoises by node identity, so the nodes a period allocates
+depend on it: parsed (\\x.x x) (\\x.x x) has two lambda objects, its
+contractum one. Once the two occurrences match, the period between them
+is exact: its fuel, its allocations, its growth of the stack, the path
+it adds to every address and its events repeat unchanged. The machine
+then accounts for all the whole periods that fuel, max_nodes and the
+frame limit (against the run's high-water depth, memo walks included)
+all leave room for, but one: it takes their fuel and allocations,
+lowers the frame limit by their growth, and appends copies of the
+period's events at the shifted address with the next step indices and
+the same redex and contractum objects. The rest runs for real, so
+which guard stops the run, and where, is what it was; the events
+recorded after the skip get the skipped path inserted into their
+address. A run that grows instead of repeating is not cut short.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .notation import (
     REJECTED,
     ReadbackSpec,
-    StrategySpec,
     UniformSpec,
     parse_spec,
     print_spec,
@@ -199,16 +230,29 @@ def _readback_layer(spec: ReadbackSpec, ev: _Layer) -> _Layer:
     return rb
 
 
-def _coerce_spec(spec) -> StrategySpec:
+def _compile(spec):
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    got = _build(spec)
+    if got.__class__ is str:
+        raise EngineError(got)
+    return got
+
+
+@cache
+def _build(spec):
+    """The compiled form of spec: its root layer and, for a readback
+    encoding, the readback layer over it; or, for a rejected spec, the
+    message it raises. Specs are frozen and there are 352 encodings, so
+    each is validated and built once per process."""
     report = validate(spec)
     if report.verdict in REJECTED:
         detail = "; ".join(f"{d.proviso}: {d.message}" for d in report.diagnostics)
-        raise EngineError(
-            f"cannot run {print_spec(spec)} ({report.verdict}): {detail}"
-        )
-    return spec
+        return f"cannot run {print_spec(spec)} ({report.verdict}): {detail}"
+    if isinstance(spec, ReadbackSpec):
+        ev = _build_layer(spec.ev)
+        return ev, _readback_layer(spec, ev)
+    return _build_layer(spec), None
 
 
 def _coerce_term(term) -> Term:
@@ -224,8 +268,9 @@ class _OutOfFuel(Exception):
 # NEU1/NEU2 finish a neutral; THEN walks the value just produced again
 # under a second layer, which is how a readback layer follows eval.
 # CLOSE, in derivation-tree runs only, sits beneath the frames of one
-# judgment and gives the innermost open node the value they leave, so
-# it carries nothing and one tuple serves every judgment.
+# judgment and gives the innermost open node the value they leave. It
+# carries nothing, but each judgment gets a tuple of its own, so that the
+# blackhole can tell a judgment's CLOSE from a later one's.
 _EV = 0
 _MKLAM = 1
 _AP1 = 2
@@ -234,7 +279,6 @@ _NEU1 = 4
 _NEU2 = 5
 _CLOSE = 6
 _THEN = 7
-_CLOSE_FRAME = (_CLOSE,)
 
 
 class _Machine:
@@ -258,6 +302,17 @@ class _Machine:
         # returned its own input; the entry pins the operand alive. A
         # later such walk of the object by another layer replaces it.
         self._fixed = {}
+        # The blackhole (see the module docstring): the sampled contractum
+        # judgments still pending, outermost first, as (depth, frame
+        # beneath, key); how many of them hold each key; and the one
+        # candidate, with its term, that waits for its confirming repeat.
+        # holes is None once a skip is made or ruled out.
+        self.holes = []
+        self._keys = {}
+        self._candidate = None
+        # (prefix length, inserted path, first event) once a skip is made:
+        # the events recorded after it get the skipped periods' path.
+        self.shift = None
 
     def path_tuple(self, path):
         # Paths live on the frame stack as cons cells (letter, parent);
@@ -282,22 +337,6 @@ class _Machine:
         tup = base + tuple(reversed(letters))
         memo[id(path)] = (path, tup)
         return tup
-
-    def contract(self, lam, operand, path):
-        if self.fuel == 0:
-            raise _OutOfFuel
-        self.fuel -= 1
-        contractum = substitute(operand, lam.param, lam.body, self.alloc)
-        event = None
-        if self.record:
-            event = TraceEvent(
-                len(self.events),
-                self.path_tuple(path),
-                App(lam, operand),
-                contractum,
-            )
-            self.events.append(event)
-        return contractum, event
 
     def run(self):
         frames = self.frames
@@ -324,7 +363,7 @@ class _Machine:
                     node = DerivationNode(t)
                     opened[-1].premises.append(node)
                     opened.append(node)
-                    frames.append(_CLOSE_FRAME)
+                    frames.append((_CLOSE,))
                 cls = t.__class__
                 if cls is Var:
                     values.append(t)
@@ -353,7 +392,8 @@ class _Machine:
                     ar1 = layer.ar1
                     operand = appnode.operand
                     if ar1 is None:
-                        self._contract_go(layer, mprime, operand, path)
+                        max_frames = self._contract(layer, mprime, operand,
+                                                    path, peak)
                         continue
                     base = len(frames)
                     if not trees:
@@ -361,7 +401,8 @@ class _Machine:
                         if depth is not None and base + depth <= max_frames:
                             if base + depth > peak:
                                 peak = base + depth
-                            self._contract_go(layer, mprime, operand, path)
+                            max_frames = self._contract(
+                                layer, mprime, operand, path, peak)
                             continue
                     frames.append((_CON2, layer, mprime, path, operand,
                                    peak, base))
@@ -381,7 +422,7 @@ class _Machine:
                     fixed[id(operand)] = (operand, layer.ar1, peak - base)
                 if outer > peak:
                     peak = outer
-                self._contract_go(layer, lam, nprime, path)
+                max_frames = self._contract(layer, lam, nprime, path, peak)
             elif op == _NEU1:
                 _, layer, appnode, path = frame
                 mpp = values.pop()
@@ -408,11 +449,118 @@ class _Machine:
                 frames.append((_EV, layer, values.pop(), path))
         return values.pop()
 
-    def _contract_go(self, layer, lam, operand, path):
-        contractum, event = self.contract(lam, operand, path)
-        if self.trees:
-            self.opened[-1].event = event
+    def _contract(self, layer, lam, operand, path, peak):
+        """Contract lam applied to operand, at path, and push the
+        contractum's judgment under layer, consulting the blackhole on
+        every 16th contraction. Returns the frame limit, which a skip
+        lowers."""
+        fuel = self.fuel
+        if fuel == 0:
+            raise _OutOfFuel
+        fuel -= 1
+        self.fuel = fuel
+        contractum = substitute(operand, lam.param, lam.body, self.alloc)
+        if self.record:
+            events = self.events
+            event = TraceEvent(len(events), self.path_tuple(path),
+                               App(lam, operand), contractum)
+            events.append(event)
+            if self.trees:
+                self.opened[-1].event = event
+        if not fuel & 15 and self.holes is not None:
+            self._blackhole(layer, contractum, path, peak)
         self.frames.append((_EV, layer, contractum, path))
+        return self.max_frames
+
+    def _blackhole(self, layer, contractum, path, peak):
+        """Record the judgment of contractum under layer, about to open
+        on top of the stack, and skip the run's remaining whole periods
+        once a pending judgment repeats with the same sharing."""
+        frames = self.frames
+        depth = len(frames)
+        holes = self.holes
+        keys = self._keys
+        # The entries whose judgments have closed are all on top.
+        while holes and not _pending(holes[-1], frames, depth):
+            key = holes.pop()[2]
+            left = keys[key] - 1
+            if left:
+                keys[key] = left
+            else:
+                del keys[key]
+        entry = (depth, frames[depth - 1] if depth else None,
+                 (layer, contractum._hash))
+        key = entry[2]
+        cand = self._candidate
+        if cand is not None and not _pending(cand[0], frames, depth):
+            cand = self._candidate = None
+        if cand is not None and cand[0][2] == key:
+            if _same_dag(cand[1], contractum):
+                self._skip(cand, path, peak)
+                return
+            cand = None
+        if cand is None and key in keys:
+            # Pinned until it is confirmed, replaced or closed.
+            self._candidate = (entry, contractum, self.fuel, self.alloc[0],
+                               None if self.events is None
+                               else len(self.events), path)
+        holes.append(entry)
+        keys[key] = keys.get(key, 0) + 1
+
+    def _skip(self, cand, path, peak):
+        """The judgment of cand has opened again, with the same sharing,
+        at the top of the stack, whose path cell is path: the run
+        repeats the period between the two for as long as it lasts.
+        Account for all its whole periods but the last, as if they had
+        run, and leave the rest to the machine. peak is the running
+        peak of the innermost open operand walk."""
+        (depth0, _, _), _, fuel0, alloc0, count0, path0 = cand
+        self.holes = self._keys = self._candidate = None
+        frames = self.frames
+        step = fuel0 - self.fuel
+        grown = alloc0 - self.alloc[0]
+        rise = len(frames) - depth0
+        periods = self.fuel // step
+        if grown:
+            periods = min(periods, self.alloc[0] // grown)
+        if rise:
+            # The run's high-water depth: the running peak and the peaks
+            # the open operand walks keep for the walks around them.
+            high = peak
+            for f in frames:
+                op = f[0]
+                if op == _CON2:
+                    if f[5] > high:
+                        high = f[5]
+                elif op == _NEU2 and f[4] > high:
+                    high = f[4]
+            periods = min(periods, (self.max_frames - high) // rise)
+        k = int(periods) - 1
+        if k < 1:
+            return
+        self.fuel -= k * step
+        self.alloc[0] -= k * grown
+        self.max_frames -= k * rise
+        events = self.events
+        if events is None or self.trees:
+            # A tree run that skips ends in an error, so no event of it
+            # is read.
+            return
+        letters = []
+        p = path
+        while p is not path0:
+            letters.append(p[0])
+            p = p[1]
+        q = tuple(reversed(letters))
+        head = self.path_tuple(path0)
+        cut = len(head)
+        period = events[count0:]
+        for i in range(1, k + 1):
+            mid = head + q * i
+            for e in period:
+                events.append(TraceEvent(len(events), mid + e.position[cut:],
+                                         e.redex, e.contractum))
+        self.shift = (cut, q * k, len(events))
 
     def _fixed_depth(self, walker, operand):
         """How deep above its start the walk of operand under walker
@@ -456,27 +604,76 @@ class _Machine:
         return base
 
 
-def _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames,
+def _pending(entry, frames, depth):
+    """Whether the judgment of a blackhole entry is still open on a
+    stack of depth frames: the frame it opened on is still in place."""
+    d, beneath, _ = entry
+    return beneath is None or (d <= depth and frames[d - 1] is beneath)
+
+
+def _same_dag(a, b) -> bool:
+    """Whether a and b are equal trees with the same sharing: a
+    one-to-one map of a's nodes onto b's matches kind, name and
+    children."""
+    there = {}
+    back = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        got = there.get(id(x))
+        if got is not None:
+            if got is not y:
+                return False
+            continue
+        if id(y) in back:
+            return False
+        there[id(x)] = y
+        back[id(y)] = x
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is Var:
+            if x.name != y.name:
+                return False
+        elif cls is Lam:
+            if x.param != y.param:
+                return False
+            stack.append((x.body, y.body))
+        else:
+            stack.append((x.operator, y.operator))
+            stack.append((x.operand, y.operand))
+    return True
+
+
+def _run_machine(layers, term, fuel, record_trace, max_nodes, max_frames,
                  trees=False):
-    """Shared driver. A readback encoding runs in one walk: its readback
-    layer waits in the root THEN frame under the eval stage."""
+    """Shared driver over a compiled spec. A readback encoding runs in
+    one walk: its readback layer waits in the root THEN frame under the
+    eval stage."""
     if fuel < 0:
         raise EngineError("fuel budget must be nonnegative")
     machine = _Machine(fuel, record_trace, max_nodes, max_frames, trees)
     frames = machine.frames
-    if isinstance(spec, ReadbackSpec):
-        ev = _build_layer(spec.ev)
-        frames.append((_THEN, _readback_layer(spec, ev), None))
-        frames.append((_EV, ev, term, None))
-    else:
-        frames.append((_EV, _build_layer(spec), term, None))
+    root, readback = layers
+    if readback is not None:
+        frames.append((_THEN, readback, None))
+    frames.append((_EV, root, term, None))
     exhausted = False
     result = None
     try:
         result = machine.run()
     except _OutOfFuel:
         exhausted = True
-    trace = tuple(machine.events) if machine.record else None
+    trace = None
+    if machine.record:
+        if machine.shift is not None:
+            # After a skip the machine ran on at the address it skipped
+            # from; the skipped periods' path belongs after the address
+            # of the repeat's first occurrence.
+            cut, skipped, start = machine.shift
+            for e in machine.events[start:]:
+                e.position = e.position[:cut] + skipped + e.position[cut:]
+        trace = tuple(machine.events)
     stage = None
     if machine.stage is not None:
         # The eval stage recorded one event per unit of fuel it spent.
@@ -506,11 +703,12 @@ def evaluate(spec, term, fuel=DEFAULT_FUEL, *, record_trace=True,
     far and reports fuel_used equal to the budget. record_trace=False
     skips trace construction, which matters on large sweeps. When a
     readback encoding's eval stage converges, outcome.stage is the
-    outcome evaluate(spec.ev, term, fuel) gives.
+    outcome evaluate(spec.ev, term, fuel) gives. A run that repeats
+    itself is cut short (see the module docstring); its outcome, trace
+    included, is the one the full walk gives.
     """
-    spec = _coerce_spec(spec)
-    term = _coerce_term(term)
-    outcome, _ = _run_machine(spec, term, fuel, record_trace, max_nodes, max_frames)
+    outcome, _ = _run_machine(_compile(spec), _coerce_term(term), fuel,
+                              record_trace, max_nodes, max_frames)
     return outcome
 
 
@@ -520,10 +718,8 @@ def derivation_forest(spec, term, fuel=DEFAULT_FUEL, *,
     """Derivation trees for any strategy: one tree for an eval-apply
     evaluator, the eval tree stacked under the readback tree for a
     staged one."""
-    spec = _coerce_spec(spec)
-    term = _coerce_term(term)
-    _, roots = _run_machine(spec, term, fuel, True, max_nodes, max_frames,
-                            trees=True)
+    _, roots = _run_machine(_compile(spec), _coerce_term(term), fuel, True,
+                            max_nodes, max_frames, trees=True)
     return roots
 
 

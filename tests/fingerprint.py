@@ -37,7 +37,11 @@ lambdalab.cli.main give the same argv, exit code, stdout and stderr
   files and usage errors.
 
 So a refactor that prints all three digests of its parent has changed
-none of them. pytest does not collect this file.
+none of them. tests/golden.json holds the committed digests: the script
+exits 1, naming the digests that differ, when it prints others, and
+tests/test_golden.py recomputes the engine and lab digests in the test
+suite (the CLI digest, about two thirds of the script's time, runs only
+here). pytest does not collect this file.
 """
 
 import contextlib
@@ -71,6 +75,8 @@ from lambdalab import (  # noqa: E402
 )
 from lambdalab.cli import main as cli_main  # noqa: E402
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden.json")
 FUELS = (0, 3, 300)
 MAX_NODES = 100000
 CORPUS_TERMS = 300
@@ -245,9 +251,8 @@ def cli_digest():
     return digest.hexdigest()
 
 
-def main():
-    corpus = generate(GenConfig(seed=1337, size_max=30), CORPUS_TERMS)
-    terms = [t for _, t in paper_corpus()] + corpus
+def engine_digest(terms):
+    terms = [t for _, t in paper_corpus()] + terms
     digest = hashlib.sha256()
     for row in catalogue():
         spec = row.spec
@@ -262,10 +267,29 @@ def main():
                     spec, term, fuel, max_nodes=MAX_NODES)))
                 digest.update("\n".join(record).encode())
                 digest.update(b"\n")
-    print(digest.hexdigest())
-    print(lab_digest(corpus))
-    print(cli_digest())
+    return digest.hexdigest()
+
+
+def corpus():
+    """The seed-1337 corpus terms the engine and lab digests run over."""
+    return generate(GenConfig(seed=1337, size_max=30), CORPUS_TERMS)
+
+
+def main():
+    terms = corpus()
+    digests = {"engine": engine_digest(terms), "lab": lab_digest(terms),
+               "cli": cli_digest()}
+    for digest in digests.values():
+        print(digest)
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    changed = [name for name, digest in digests.items()
+               if digest != golden[name]]
+    if changed:
+        print(f"differs from tests/golden.json: {', '.join(changed)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
