@@ -1,5 +1,6 @@
-"""Print three sha256 digests: one over everything the engine observably
-does, one over the lab layer built on it, and one over the command line.
+"""Print four sha256 digests: one over everything the engine observably
+does, one over the lab layer built on it, one over the command line, and
+one over the command line's strategy commands alone.
 
 Run from the repository root with `python tests/fingerprint.py`. It
 takes no options. Two commits print the same first (engine) digest when
@@ -36,12 +37,17 @@ lambdalab.cli.main give the same argv, exit code, stdout and stderr
   each: parse errors, rejected specs, out-of-range numbers, missing
   files and usage errors.
 
-So a refactor that prints all three digests of its parent has changed
+They print the same fourth (notation) digest when the same in-process
+runs agree for catalogue, and for validate, fuse and defuse of every
+catalogue row, every alias and the odd specs, as text and --json: the
+slice of the CLI digest that the strategy layer alone decides.
+
+So a refactor that prints all four digests of its parent has changed
 none of them. tests/golden.json holds the committed digests: the script
 exits 1, naming the digests that differ, when it prints others, and
-tests/test_golden.py recomputes the engine and lab digests in the test
-suite (the CLI digest, about two thirds of the script's time, runs only
-here). pytest does not collect this file.
+tests/test_golden.py recomputes the engine, lab and notation digests in
+the test suite (the CLI digest, about two thirds of the script's time,
+runs only here). pytest does not collect this file.
 """
 
 import contextlib
@@ -175,6 +181,14 @@ def _cli(argv):
     return json.dumps([list(argv), code, out.getvalue(), err.getvalue()])
 
 
+def _spec_argvs(rows):
+    """validate, fuse and defuse of every row, alias and odd spec."""
+    for spec in rows + sorted(ALIASES) + list(ODD_SPECS):
+        for command in ("validate", "fuse", "defuse"):
+            yield [command, spec]
+            yield [command, spec, "--json"]
+
+
 def _cli_argvs(rows, terms):
     """Every command line the CLI digest runs, in order."""
     modes = ([], ["--json", "--strict-fuel"])
@@ -187,10 +201,7 @@ def _cli_argvs(rows, terms):
         for term in terms:
             for mode in modes:
                 yield ["compare", a, b, term, "--fuel", CLI_FUEL] + mode
-    for spec in rows + sorted(ALIASES) + list(ODD_SPECS):
-        for command in ("validate", "fuse", "defuse"):
-            yield [command, spec]
-            yield [command, spec, "--json"]
+    yield from _spec_argvs(rows)
     for term in terms + list(BAD_TERMS):
         yield ["classify", term]
         yield ["classify", term, "--json"]
@@ -230,10 +241,24 @@ def _cli_argvs(rows, terms):
         yield argv
 
 
+def _update(digest, argvs):
+    os.environ["COLUMNS"] = "80"  # usage lines wrap at the terminal width
+    for argv in argvs:
+        digest.update(_cli(argv).encode())
+        digest.update(b"\n")
+
+
+def notation_digest():
+    rows = [print_spec(r.spec) for r in catalogue()]
+    digest = hashlib.sha256()
+    _update(digest, [["catalogue"], ["catalogue", "--json"]])
+    _update(digest, _spec_argvs(rows))
+    return digest.hexdigest()
+
+
 def cli_digest():
     rows = [print_spec(r.spec) for r in catalogue()]
     terms = [print_term(t) for _, t in paper_corpus()]
-    os.environ["COLUMNS"] = "80"  # usage lines wrap at the terminal width
     digest = hashlib.sha256()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -241,9 +266,7 @@ def cli_digest():
         try:
             with open("bad.lam", "w", encoding="utf-8") as handle:
                 handle.write("x\n(\\y.\n")
-            for argv in _cli_argvs(rows, terms):
-                digest.update(_cli(argv).encode())
-                digest.update(b"\n")
+            _update(digest, _cli_argvs(rows, terms))
             with open("report.json", encoding="utf-8") as handle:
                 digest.update(handle.read().encode())
         finally:
@@ -278,7 +301,7 @@ def corpus():
 def main():
     terms = corpus()
     digests = {"engine": engine_digest(terms), "lab": lab_digest(terms),
-               "cli": cli_digest()}
+               "cli": cli_digest(), "notation": notation_digest()}
     for digest in digests.values():
         print(digest)
     with open(GOLDEN, encoding="utf-8") as handle:
