@@ -39,10 +39,10 @@ from .engine import (
 from .notation import (
     NotationError,
     StrategySpec,
-    catalogue,
     fuse,
     parse_spec,
     print_spec,
+    result_form,
 )
 from .terms import (
     App,
@@ -456,12 +456,8 @@ _FACTORIAL = {
     **dict.fromkeys(("ho", "so", "bs"), ("Y", "F_delimcps", "I")),
 }
 
-# Result form families by spec, so that a row named by its encoding
-# (IIS has no alias) is found too.
-_FORMS = {row.spec: row.result_form for row in catalogue()}
-
 FULL_REDUCING = tuple(a for a in _FACTORIAL
-                      if _FORMS[parse_spec(a)] is FormClass.NF)
+                      if result_form(parse_spec(a)) is FormClass.NF)
 
 
 def factorial_term(strategy: str, n: int) -> Term:
@@ -489,7 +485,7 @@ def demo_factorial(n_values=(0, 1, 2, 3, 4), fuel=DEFAULT_FACTORIAL_FUEL, *,
         raise NotationError(f"not a factorial table row: {', '.join(unknown)}")
     entries = []
     for alias in (a for a in _FACTORIAL if a in rows):
-        form = _FORMS[parse_spec(alias)]
+        form = result_form(parse_spec(alias))
         for n in n_values:
             term = factorial_term(alias, n)
             outcome = evaluate(alias, term, fuel, record_trace=False)

@@ -20,12 +20,17 @@ that collapse to a uniform evaluator, the spurious hybrids whose extra
 structure adds no evaluation, and invalid readbacks. fuse() rewrites a
 staged readback into its one-step-equivalent hybrid, and defuse()
 returns fuse's preimage: the readbacks that fuse to a given hybrid.
+
+catalogue() lists every encoding validate() accepts, classified by its
+verdict; only what the provisos leave open, the result forms and the
+aliases, is written by hand.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from .terms import FormClass
@@ -342,20 +347,18 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
 
 
 def defuse(spec: HybridSpec | str) -> frozenset[ReadbackSpec]:
-    """Readback encodings that fuse to the given hybrid: fuse's preimage.
+    """The catalogue's readback rows that fuse to the given hybrid.
 
-    Every candidate shares the hybrid's subsidiary as its eval stage, so
-    unbalanced hybrids (ar1 unlike the subsidiary's) have none.
+    A readback fuses to a hybrid over its own eval stage, so unbalanced
+    hybrids (ar1 unlike the subsidiary's) have none.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if not isinstance(spec, HybridSpec):
         raise NotationError(f"defuse needs a hybrid, got {print_spec(spec)}")
-    candidates = (ReadbackSpec(la, ar2, spec.subsidiary)
-                  for la, ar2 in product(_READBACK_SLOTS, repeat=2))
-    return frozenset(rb for rb in candidates
-                     if validate(rb).verdict not in REJECTED
-                     and fuse(rb).hybrid == spec)
+    return frozenset(row.spec for row in catalogue()
+                     if isinstance(row.spec, ReadbackSpec)
+                     and fuse(row.spec).hybrid == spec)
 
 
 @dataclass(frozen=True)
@@ -366,125 +369,104 @@ class CatalogueEntry:
     result_form: FormClass
 
 
-_NF = FormClass.NF
-_WNF = FormClass.WNF
-_HNF = FormClass.HNF
-_WHNF = FormClass.WHNF
-_VHNF = FormClass.VHNF
-
-_UNIFORM_ROWS = (
-    ("bn", "III", _WHNF),
-    (None, "IIS", _WNF),
-    ("he", "SII", _HNF),
-    (None, "SIS", _NF),
-    (None, "ISI", _WHNF),
-    ("bv", "ISS", _WNF),
-    ("ho", "SSI", _HNF),
-    ("ao", "SSS", _NF),
+# The two strategy facts the provisos leave open, written by hand: the
+# form family that the converged results of each eval-apply encoding land
+# in, and the short aliases. A readback lands where the hybrid it fuses to
+# does, so its row gives only its alias.
+_HAND_WRITTEN = (
+    ("III", FormClass.WHNF, "bn"),
+    ("IIS", FormClass.WNF, None),
+    ("SII", FormClass.HNF, "he"),
+    ("SIS", FormClass.NF, None),
+    ("ISI", FormClass.WHNF, None),
+    ("ISS", FormClass.WNF, "bv"),
+    ("SSI", FormClass.HNF, "ho"),
+    ("SSS", FormClass.NF, "ao"),
+    ("IIH<>III", FormClass.WNF, None),
+    ("SIH<>III", FormClass.WNF, None),
+    ("HII<>III", FormClass.HNF, "hr"),
+    ("HIS<>III", FormClass.VHNF, None),
+    ("HIH<>III", FormClass.NF, "no"),
+    ("SIH<>IIS", FormClass.WNF, None),
+    ("HIS<>IIS", FormClass.VHNF, None),
+    ("HIH<>IIS", FormClass.NF, None),
+    ("SIH<>SII", FormClass.WNF, None),
+    ("HIS<>SII", FormClass.HNF, None),
+    ("HIH<>SII", FormClass.NF, "hn"),
+    ("ISH<>ISI", FormClass.WNF, None),
+    ("SSH<>ISI", FormClass.WNF, None),
+    ("HSI<>ISI", FormClass.HNF, None),
+    ("HSS<>ISI", FormClass.VHNF, None),
+    ("HSH<>ISI", FormClass.NF, None),
+    ("SSH<>ISS", FormClass.WNF, None),
+    ("HSS<>ISS", FormClass.VHNF, "am"),
+    ("HSH<>ISS", FormClass.NF, "sn"),
+    ("SSH<>SSI", FormClass.WNF, None),
+    ("HSS<>SSI", FormClass.HNF, None),
+    ("HSH<>SSI", FormClass.NF, "bs"),
+    ("IHH<>ISI", FormClass.WNF, None),
+    ("SHH<>ISI", FormClass.WNF, None),
+    ("HHI<>ISI", FormClass.HNF, None),
+    ("HHS<>ISI", FormClass.VHNF, None),
+    ("HHH<>ISI", FormClass.NF, None),
+    ("SHH<>ISS", FormClass.WNF, None),
+    ("HHS<>ISS", FormClass.VHNF, None),
+    ("HHH<>ISS", FormClass.NF, "ha"),
+    ("SHH<>SSI", FormClass.WNF, None),
+    ("HHS<>SSI", FormClass.HNF, None),
+    ("HHH<>SSI", FormClass.NF, "so"),
+    ("R(RE).SII", None, "byName"),
+    ("(RE)R.ISS", None, "byValue"),
 )
 
-_HYBRID_ROWS = (
-    # over bn
-    (None, "IIH<>III", "uniform", _WNF),
-    (None, "SIH<>III", "hybrid balanced", _WNF),
-    ("hr", "HII<>III", "hybrid balanced", _HNF),
-    (None, "HIS<>III", "hybrid balanced", _VHNF),
-    ("no", "HIH<>III", "hybrid balanced", _NF),
-    # over IIS
-    (None, "SIH<>IIS", "hybrid balanced", _WNF),
-    (None, "HIS<>IIS", "hybrid balanced", _VHNF),
-    (None, "HIH<>IIS", "hybrid balanced", _NF),
-    # over he
-    (None, "SIH<>SII", "hybrid balanced", _WNF),
-    (None, "HIS<>SII", "hybrid balanced", _HNF),
-    ("hn", "HIH<>SII", "hybrid balanced", _NF),
-    # over ISI, balanced
-    (None, "ISH<>ISI", "hybrid balanced", _WNF),
-    (None, "SSH<>ISI", "hybrid balanced", _WNF),
-    (None, "HSI<>ISI", "hybrid balanced", _HNF),
-    (None, "HSS<>ISI", "hybrid balanced", _VHNF),
-    (None, "HSH<>ISI", "hybrid balanced", _NF),
-    # over bv, balanced
-    (None, "SSH<>ISS", "hybrid balanced", _WNF),
-    ("am", "HSS<>ISS", "hybrid balanced", _VHNF),
-    ("sn", "HSH<>ISS", "hybrid balanced", _NF),
-    # over ho, balanced
-    (None, "SSH<>SSI", "hybrid balanced", _WNF),
-    (None, "HSS<>SSI", "hybrid balanced", _HNF),
-    ("bs", "HSH<>SSI", "hybrid balanced", _NF),
-    # over ISI, unbalanced
-    (None, "IHH<>ISI", "hybrid unbalanced", _WNF),
-    (None, "SHH<>ISI", "hybrid unbalanced", _WNF),
-    (None, "HHI<>ISI", "hybrid unbalanced", _HNF),
-    (None, "HHS<>ISI", "hybrid unbalanced", _VHNF),
-    (None, "HHH<>ISI", "hybrid unbalanced", _NF),
-    # over bv, unbalanced
-    (None, "SHH<>ISS", "hybrid unbalanced", _WNF),
-    (None, "HHS<>ISS", "hybrid unbalanced", _VHNF),
-    ("ha", "HHH<>ISS", "hybrid unbalanced", _NF),
-    # over ho, unbalanced
-    (None, "SHH<>SSI", "hybrid unbalanced", _WNF),
-    (None, "HHS<>SSI", "hybrid unbalanced", _HNF),
-    ("so", "HHH<>SSI", "hybrid unbalanced", _NF),
-)
-
-_READBACK_ROWS = (
-    # over bn
-    (None, "I(RE).III"),
-    (None, "E(RE).III"),
-    (None, "(RE)I.III"),
-    (None, "(RE)E.III"),
-    (None, "(RE)(RE).III"),
-    # over IIS
-    (None, "ER.IIS"),
-    (None, "(RE)I.IIS"),
-    (None, "(RE)R.IIS"),
-    # over he
-    (None, "I(RE).SII"),
-    (None, "RE.SII"),
-    ("byName", "R(RE).SII"),
-    # over ISI
-    (None, "I(RE).ISI"),
-    (None, "E(RE).ISI"),
-    (None, "(RE)I.ISI"),
-    (None, "(RE)E.ISI"),
-    (None, "(RE)(RE).ISI"),
-    # over bv
-    (None, "ER.ISS"),
-    (None, "(RE)I.ISS"),
-    ("byValue", "(RE)R.ISS"),
-    # over ho
-    (None, "I(RE).SSI"),
-    (None, "RE.SSI"),
-    (None, "R(RE).SSI"),
-)
-
-
-# alias -> systematic encoding, from the alias column of the rows above.
-ALIASES: dict[str, str] = {
-    row[0]: row[1]
-    for row in _UNIFORM_ROWS + _HYBRID_ROWS + _READBACK_ROWS
-    if row[0] is not None
-}
+_FORMS = {text: form for text, form, _ in _HAND_WRITTEN if form is not None}
+ALIASES: dict[str, str] = {alias: text for text, _, alias in _HAND_WRITTEN
+                           if alias is not None}
 
 _ALIAS_BY_SYSTEMATIC = {v: k for k, v in ALIASES.items()}
 
 
-def catalogue() -> tuple[CatalogueEntry, ...]:
-    """Every named or systematic strategy of the survey tables.
+def result_form(spec: StrategySpec) -> FormClass:
+    """The form family the converged results of a catalogue row land in."""
+    if isinstance(spec, ReadbackSpec):
+        spec = fuse(spec).hybrid
+    return _FORMS[print_spec(spec)]
 
-    8 uniform evaluators, 33 hybrids, 22 readback encodings, each with
-    its classification and the form family its converged results land in.
-    A readback row's form is that of the hybrid row it fuses to, since a
-    staged run and its fused hybrid converge to the same result.
+
+def _survey():
+    """All 352 encodings in survey order: uniforms by (ar1, la, ar2);
+    balanced hybrids, then unbalanced ones, each grouped by subsidiary;
+    readbacks grouped by eval stage. Slots run I<S<H and I<E<R<(RE)."""
+    uniforms = [UniformSpec(la, ar1, ar2)
+                for ar1, la, ar2 in product("IS", repeat=3)]
+    yield from uniforms
+    for balanced in (True, False):
+        for sub in uniforms:
+            for la, ar1, ar2 in product("ISH", repeat=3):
+                if (ar1 == sub.ar1) == balanced:
+                    yield HybridSpec(la, ar1, ar2, sub)
+    for ev in uniforms:
+        for la, ar2 in product(_READBACK_SLOTS, repeat=2):
+            yield ReadbackSpec(la, ar2, ev)
+
+
+@cache
+def catalogue() -> tuple[CatalogueEntry, ...]:
+    """Every encoding the provisos accept, in survey order.
+
+    8 uniform evaluators, 33 hybrids and 22 readback encodings: each
+    encoding whose verdict is not rejected, except the hybrids X<>X that
+    restate their own subsidiary. A row's classification is its verdict
+    without the valid- or degenerate- prefix, and its form is
+    result_form's.
     """
-    rows = [CatalogueEntry(alias, parse_spec(text), "uniform", form)
-            for alias, text, form in _UNIFORM_ROWS]
-    rows += [CatalogueEntry(alias, parse_spec(text), classification, form)
-             for alias, text, classification, form in _HYBRID_ROWS]
-    form_of = {row.spec: row.result_form for row in rows}
-    for alias, text in _READBACK_ROWS:
-        spec = parse_spec(text)
-        rows.append(CatalogueEntry(alias, spec, "readback",
-                                   form_of[fuse(spec).hybrid]))
+    rows = []
+    for spec in _survey():
+        verdict = validate(spec).verdict
+        if verdict in REJECTED or (isinstance(spec, HybridSpec)
+                                   and spec.triple == spec.subsidiary.triple):
+            continue
+        classification = verdict.split("-", 1)[1].replace("-", " ")
+        rows.append(CatalogueEntry(alias_of(spec), spec, classification,
+                                   result_form(spec)))
     return tuple(rows)

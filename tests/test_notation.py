@@ -27,7 +27,7 @@ from lambdalab import (
     validate,
 )
 from lambdalab.cli import main
-from lambdalab.notation import REJECTED
+from lambdalab.notation import _HAND_WRITTEN, REJECTED
 
 
 def all_hybrids():
@@ -184,6 +184,20 @@ def test_catalogue_matches_validator():
     cat_rb = {print_spec(r.spec) for r in rows
               if isinstance(r.spec, ReadbackSpec)}
     assert cat_rb == {print_spec(s) for s in valid_readbacks()}
+
+
+def test_hand_written_table_names_only_catalogue_rows():
+    # The generator skips an encoding the provisos reject, so a stale
+    # form or alias would otherwise go unread without a word.
+    rows = {print_spec(r.spec): r.spec for r in catalogue()}
+    texts = [text for text, _, _ in _HAND_WRITTEN]
+    assert len(set(texts)) == len(texts)
+    assert set(texts) <= set(rows)
+    assert {text for text, form, _ in _HAND_WRITTEN if form is not None} == {
+        text for text, spec in rows.items()
+        if not isinstance(spec, ReadbackSpec)}
+    aliased = [text for text, _, alias in _HAND_WRITTEN if alias is not None]
+    assert sorted(ALIASES.values()) == sorted(aliased)
 
 
 def test_catalogue_classifications():
