@@ -25,6 +25,8 @@ from .engine import (
     reconstruct_sequence,
 )
 from .lab import (
+    BOTH_EXHAUSTED_EQUAL_PREFIX,
+    BOTH_EXHAUSTED_MCR_PREFIX,
     DEFAULT_FACTORIAL_FUEL,
     INCONCLUSIVE,
     compare,
@@ -224,9 +226,10 @@ def _cmd_compare(args) -> int:
                     print(f"  {label}: at {path}  "
                           f"{print_term(event.redex)}  ->  "
                           f"{print_term(event.contractum)}")
-    if verdict.kind == INCONCLUSIVE and args.strict_fuel:
-        return 2
-    return 0
+    # A run cut short leaves every verdict but differ undecided.
+    undecided = (INCONCLUSIVE, BOTH_EXHAUSTED_EQUAL_PREFIX,
+                 BOTH_EXHAUSTED_MCR_PREFIX)
+    return 2 if verdict.kind in undecided and args.strict_fuel else 0
 
 
 def _cmd_fuse(args) -> int:
@@ -326,7 +329,10 @@ def _cmd_corpus_run(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        print(f"wrote report to {args.out}")
+        if args.json:
+            _emit({"n": len(terms), "out": args.out})
+        else:
+            print(f"wrote report to {args.out}")
         return 0
     if args.json:
         _emit(payload)

@@ -10,6 +10,7 @@ files are line oriented, one term per line with `--` comments.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .terms import App, Lam, ParseError, Term, Var, parse_term, print_term
@@ -27,7 +28,9 @@ class GenConfig:
     """Knobs for the random term generator.
 
     seed picks the random streams. size_max bounds the node count of
-    every generated term. An empty free_var_pool forces closed terms.
+    every generated term. An empty free_var_pool forces closed terms; its
+    names must be variables of the term grammar, and none may have the
+    shape v<digits> of the generated binders, which would capture it.
     The redex bias is fixed: an application whose operator has room for
     an abstraction gets a literal one with probability 0.5.
     """
@@ -39,6 +42,18 @@ class GenConfig:
     def __post_init__(self):
         if self.size_max < 1:
             raise ValueError("size_max must be at least 1")
+        for name in self.free_var_pool:
+            if not _is_variable(name) or re.fullmatch(r"v[0-9]+", name):
+                raise ValueError(f"free variable {name!r} must be a variable "
+                                 "of the term grammar not named v<digits>, "
+                                 "like the generated binders")
+
+
+def _is_variable(name: str) -> bool:
+    try:
+        return parse_term(name) == Var(name)
+    except ParseError:
+        return False
 
 
 def generate(cfg: GenConfig, n: int) -> list[Term]:

@@ -224,6 +224,31 @@ def test_corpus_run_writes_report_file(capsys, tmp_path):
     assert sum(blob["verdicts"].values()) == 10
 
 
+def test_corpus_run_out_with_json_prints_json(capsys, tmp_path):
+    corpus, report = tmp_path / "c.lam", tmp_path / "report.json"
+    run(capsys, "corpus-gen", "--seed", "4", "--size-max", "12", "--n", "10",
+        "--out", str(corpus))
+    code, out, _ = run(capsys, "corpus-run", "bn", "no", str(corpus),
+                       "--fuel", "2000", "--out", str(report), "--json")
+    assert code == 0
+    assert json.loads(out) == {"n": 10, "out": str(report)}
+    assert json.loads(report.read_text())["n"] == 10
+
+
+@pytest.mark.parametrize("pool, message", [
+    ("x y", "error: free variable 'x y' must be a variable of the term"),
+    ("x,v1", "error: free variable 'v1' must be a variable of the term"),
+])
+def test_corpus_gen_refuses_a_bad_pool(capsys, tmp_path, pool, message):
+    out_file = tmp_path / "c.lam"
+    code, out, err = run(capsys, "corpus-gen", "--pool", pool,
+                         "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert not out_file.exists()
+
+
 def test_demo_factorial_default_fuel_comes_from_lab():
     args = build_parser().parse_args(["demo-factorial"])
     assert args.fuel == DEFAULT_FACTORIAL_FUEL
@@ -276,6 +301,23 @@ def test_strict_fuel_exit_code(capsys):
     code, _, _ = run(capsys, "eval", "-s", "bv", "(\\x.y) #Omega",
                      "--fuel", "40")
     assert code == 0
+
+
+@pytest.mark.parametrize("a, b, term, verdict, code", [
+    ("bn", "no", "#Omega", "both-exhausted-equal-prefix", 2),
+    ("sn", "byValue", "x (\\w.(\\a.a) u) #Omega",
+     "both-exhausted-mcr-prefix", 2),
+    ("bn", "bv", "(\\y.z) #Omega", "inconclusive", 2),
+    # Both runs exhaust their fuel, but their prefixes part at step 0.
+    ("bn", "bv", "(\\x.#Omega) #Omega", "differ", 0),
+])
+def test_compare_strict_fuel_exits_two_unless_decided(capsys, a, b, term,
+                                                      verdict, code):
+    argv = ("compare", a, b, term, "--fuel", "50")
+    lenient, out, _ = run(capsys, *argv)
+    strict, strict_out, _ = run(capsys, *argv, "--strict-fuel")
+    assert out.splitlines()[0] == verdict
+    assert (lenient, strict, strict_out) == (0, code, out)
 
 
 def test_parse_error_exit(capsys):

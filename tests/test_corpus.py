@@ -75,6 +75,23 @@ def test_gen_config_validates():
         GenConfig(seed=1, size_max=0)
 
 
+@pytest.mark.parametrize("name", ["x y", "#I", "x--c", "(x)", "", "\u03bb",
+                                  "v1", "v12", "v0"])
+def test_gen_config_refuses_a_pool_name_that_is_no_free_variable(name):
+    with pytest.raises(ValueError, match="must be a variable of the term"):
+        GenConfig(seed=1, size_max=5, free_var_pool=("x", name))
+
+
+def test_pool_names_stay_free_and_round_trip(tmp_path):
+    pool = ("x", "v", "u'", "_w2")
+    terms = generate(GenConfig(seed=3, size_max=12, free_var_pool=pool), 300)
+    assert all(free_vars(t) <= set(pool) for t in terms)
+    assert set().union(*map(free_vars, terms)) == set(pool)
+    path = tmp_path / "corpus.lam"
+    save_corpus(str(path), terms)
+    assert load_corpus(str(path)) == terms
+
+
 def test_save_load_round_trip(tmp_path):
     terms = generate(GenConfig(seed=12, size_max=18, free_var_pool=("x",)), 30)
     path = tmp_path / "corpus.lam"
