@@ -52,26 +52,29 @@ and a tail contraction opens its contractum on the same frame, whose
 value it is. Evaluation is a function of (layer, term), so a judgment
 that opens again inside its own pending derivation never closes: from
 the repeat the machine does what it did from the first occurrence, one
-period deeper, for ever. Every 16th contraction (by the fuel left) the
-machine records its contractum judgment by depth, frame and key (layer,
-structural hash); entries hold no term. A key that matches a pending
-entry pins that one term as a candidate, and the next sampled
-occurrence of the key inside it confirms the repeat if the two terms
-are equal trees with the same sharing. Sharing matters because
-substitute memoises by node identity, so the nodes a period allocates
-depend on it: parsed (\\x.x x) (\\x.x x) has two lambda objects, its
-contractum one. Once the two occurrences match, the period between them
-is exact: its fuel, its allocations, its growth of the stack, the path
-it adds to every address and its events repeat unchanged. The machine
-then accounts for all the whole periods that fuel, max_nodes and the
-frame limit (against the run's high-water depth, memo walks included)
-all leave room for, but one: it takes their fuel and allocations,
-lowers the frame limit by their growth, and appends copies of the
-period's events at the shifted address with the next step indices and
-the same redex and contractum objects. The rest runs for real, so
-which guard stops the run, and where, is what it was; the events
-recorded after the skip get the skipped path inserted into their
-address. A run that grows instead of repeating is not cut short.
+period deeper, for ever. The machine finds such a repeat by Brent's
+cycle finding (R. P. Brent, BIT 20, 1980): one stored judgment, the
+anchor, and a span that doubles. Every 16th contraction (by the fuel
+left) compares its contractum judgment with a pending anchor: the same
+key (layer, structural hash) and an equal tree with the same sharing is
+a repeat. Sharing matters because substitute memoises by node identity,
+so the nodes a period allocates depend on it: parsed
+(\\x.x x) (\\x.x x) has two lambda objects, its contractum one.
+Otherwise the anchor moves to the sampled judgment once it has closed
+or stood for its span of fuel, 16 at first and doubled whenever a
+pending anchor moves. Once the two occurrences match, the period
+between them is exact: its fuel, its allocations, its growth of the
+stack, the path it adds to every address and its events repeat
+unchanged. The machine then accounts for all the whole periods that
+fuel, max_nodes and the frame limit (against the run's high-water
+depth, memo walks included) all leave room for, but one: it takes their
+fuel and allocations, lowers the frame limit by their growth, and
+appends copies of the period's events at the shifted address with the
+next step indices and the same redex and contractum objects. The rest
+runs for real, so which guard stops the run, and where, is what it was.
+The repeat never closes, so every later address descends from the
+repeat's path cell, which the machine re-bases past the skipped
+periods. A run that grows instead of repeating is not cut short.
 """
 
 from __future__ import annotations
@@ -302,17 +305,11 @@ class _Machine:
         # returned its own input; the entry pins the operand alive. A
         # later such walk of the object by another layer replaces it.
         self._fixed = {}
-        # The blackhole (see the module docstring): the sampled contractum
-        # judgments still pending, outermost first, as (depth, frame
-        # beneath, key); how many of them hold each key; and the one
-        # candidate, with its term, that waits for its confirming repeat.
-        # holes is None once a skip is made or ruled out.
-        self.holes = []
-        self._keys = {}
-        self._candidate = None
-        # (prefix length, inserted path, first event) once a skip is made:
-        # the events recorded after it get the skipped periods' path.
-        self.shift = None
+        # The blackhole's anchor (see the module docstring), as (depth,
+        # frame beneath, key, term, fuel, alloc, event count, path), and
+        # its span; span is None once a skip is made or ruled out.
+        self.anchor = None
+        self.span = 16
 
     def path_tuple(self, path):
         # Paths live on the frame stack as cons cells (letter, parent);
@@ -467,55 +464,42 @@ class _Machine:
             events.append(event)
             if self.trees:
                 self.opened[-1].event = event
-        if not fuel & 15 and self.holes is not None:
+        if not fuel & 15 and self.span:
             self._blackhole(layer, contractum, path, peak)
         self.frames.append((_EV, layer, contractum, path))
         return self.max_frames
 
     def _blackhole(self, layer, contractum, path, peak):
-        """Record the judgment of contractum under layer, about to open
-        on top of the stack, and skip the run's remaining whole periods
-        once a pending judgment repeats with the same sharing."""
+        """Compare the judgment of contractum under layer, about to open
+        on top of the stack, with the anchor: skip the run's remaining
+        whole periods if it repeats the pending anchor with the same
+        sharing, else move the anchor here once it has closed or stood
+        for its span."""
         frames = self.frames
         depth = len(frames)
-        holes = self.holes
-        keys = self._keys
-        # The entries whose judgments have closed are all on top.
-        while holes and not _pending(holes[-1], frames, depth):
-            key = holes.pop()[2]
-            left = keys[key] - 1
-            if left:
-                keys[key] = left
-            else:
-                del keys[key]
-        entry = (depth, frames[depth - 1] if depth else None,
-                 (layer, contractum._hash))
-        key = entry[2]
-        cand = self._candidate
-        if cand is not None and not _pending(cand[0], frames, depth):
-            cand = self._candidate = None
-        if cand is not None and cand[0][2] == key:
-            if _same_dag(cand[1], contractum):
-                self._skip(cand, path, peak)
+        key = (layer, contractum._hash)
+        anchor = self.anchor
+        if anchor is not None and _pending(anchor, frames, depth):
+            if anchor[2] == key and _same_dag(anchor[3], contractum):
+                self._skip(anchor, path, peak)
                 return
-            cand = None
-        if cand is None and key in keys:
-            # Pinned until it is confirmed, replaced or closed.
-            self._candidate = (entry, contractum, self.fuel, self.alloc[0],
-                               None if self.events is None
-                               else len(self.events), path)
-        holes.append(entry)
-        keys[key] = keys.get(key, 0) + 1
+            if anchor[4] - self.fuel < self.span:
+                return
+            self.span *= 2
+        self.anchor = (depth, frames[depth - 1] if depth else None, key,
+                       contractum, self.fuel, self.alloc[0],
+                       None if self.events is None else len(self.events),
+                       path)
 
-    def _skip(self, cand, path, peak):
-        """The judgment of cand has opened again, with the same sharing,
+    def _skip(self, anchor, path, peak):
+        """The judgment of anchor has opened again, with the same sharing,
         at the top of the stack, whose path cell is path: the run
         repeats the period between the two for as long as it lasts.
         Account for all its whole periods but the last, as if they had
         run, and leave the rest to the machine. peak is the running
         peak of the innermost open operand walk."""
-        (depth0, _, _), _, fuel0, alloc0, count0, path0 = cand
-        self.holes = self._keys = self._candidate = None
+        depth0, _, _, _, fuel0, alloc0, count0, path0 = anchor
+        self.anchor = self.span = None
         frames = self.frames
         step = fuel0 - self.fuel
         grown = alloc0 - self.alloc[0]
@@ -560,7 +544,9 @@ class _Machine:
             for e in period:
                 events.append(TraceEvent(len(events), mid + e.position[cut:],
                                          e.redex, e.contractum))
-        self.shift = (cut, q * k, len(events))
+        # The repeat never closes, so the address cell of every later
+        # event descends from path, which now sits k periods deeper.
+        self._ptup[id(path)] = (path, head + q * (k + 1))
 
     def _fixed_depth(self, walker, operand):
         """How deep above its start the walk of operand under walker
@@ -604,10 +590,10 @@ class _Machine:
         return base
 
 
-def _pending(entry, frames, depth):
-    """Whether the judgment of a blackhole entry is still open on a
+def _pending(anchor, frames, depth):
+    """Whether the judgment of the blackhole's anchor is still open on a
     stack of depth frames: the frame it opened on is still in place."""
-    d, beneath, _ = entry
+    d, beneath = anchor[0], anchor[1]
     return beneath is None or (d <= depth and frames[d - 1] is beneath)
 
 
@@ -666,13 +652,6 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, max_frames,
         exhausted = True
     trace = None
     if machine.record:
-        if machine.shift is not None:
-            # After a skip the machine ran on at the address it skipped
-            # from; the skipped periods' path belongs after the address
-            # of the repeat's first occurrence.
-            cut, skipped, start = machine.shift
-            for e in machine.events[start:]:
-                e.position = e.position[:cut] + skipped + e.position[cut:]
         trace = tuple(machine.events)
     stage = None
     if machine.stage is not None:

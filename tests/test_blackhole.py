@@ -54,7 +54,7 @@ def _divergent():
 
 
 def test_replay_covers_the_skipped_periods():
-    # At fuel 400 the blackhole confirms a repeat at step 48 at the
+    # At fuel 400 the blackhole confirms a repeat at step 32 at the
     # earliest (its checks fall on steps 16, 32, 48, ...) and
     # synthesises every later period but the last ones; each synthesised
     # event must still find its redex at its address.
