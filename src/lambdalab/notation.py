@@ -330,12 +330,7 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
         spec = parse_spec(spec)
     if not isinstance(spec, ReadbackSpec):
         raise NotationError(f"fuse needs a readback encoding, got {print_spec(spec)}")
-    report = validate(spec)
-    if report.verdict in REJECTED:
-        raise NotationError(
-            f"cannot fuse {print_spec(spec)}: {report.verdict}"
-            + "".join(f"; {d.proviso}: {d.message}" for d in report.diagnostics)
-        )
+    _refuse_rejected("fuse", spec)
     ev = spec.ev
     hybrid = HybridSpec(
         _COMPOSE[(spec.la, ev.la)],
@@ -346,16 +341,27 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
     return FusionResult(hybrid, mcr=ev.ar2 == "S")
 
 
+def _refuse_rejected(verb, spec):
+    report = validate(spec)
+    if report.verdict in REJECTED:
+        raise NotationError(
+            f"cannot {verb} {print_spec(spec)}: {report.verdict}"
+            + "".join(f"; {d.proviso}: {d.message}" for d in report.diagnostics)
+        )
+
+
 def defuse(spec: HybridSpec | str) -> frozenset[ReadbackSpec]:
     """The catalogue's readback rows that fuse to the given hybrid.
 
     A readback fuses to a hybrid over its own eval stage, so unbalanced
-    hybrids (ar1 unlike the subsidiary's) have none.
+    hybrids (ar1 unlike the subsidiary's) have none. A hybrid validate
+    rejects raises NotationError, as fuse does for a readback.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if not isinstance(spec, HybridSpec):
         raise NotationError(f"defuse needs a hybrid, got {print_spec(spec)}")
+    _refuse_rejected("defuse", spec)
     return frozenset(row.spec for row in catalogue()
                      if isinstance(row.spec, ReadbackSpec)
                      and fuse(row.spec).hybrid == spec)

@@ -473,6 +473,10 @@ def print_term(t: Term) -> str:
     return "".join(out)
 
 
+# The largest n #church:<n> builds, the engine's default max_nodes: the
+# numeral has n + 2 nodes, and a larger request would allocate unbounded.
+_CHURCH_MAX = 1_000_000
+
 _TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
@@ -541,7 +545,12 @@ def parse_term(text: str) -> Term:
         elif kind == "builtin":
             name = text_[1:]
             if name.startswith("church:"):
-                frames[-1][-1][1].append(churchN(int(name[7:])))
+                digits = name[7:].lstrip("0")
+                # Checked before int(), which refuses 4,300 digits.
+                if len(digits) > 7 or int(digits or 0) > _CHURCH_MAX:
+                    raise ParseError(f"#church numeral at offset {at} is "
+                                     f"above {_CHURCH_MAX:,}")
+                frames[-1][-1][1].append(churchN(int(digits or 0)))
                 pos += 1
                 continue
             if name not in _BUILTINS:

@@ -163,6 +163,22 @@ def test_defuse_prints_sources(capsys):
     assert out.strip() == ""
 
 
+def test_a_church_numeral_above_the_node_limit_is_an_error(capsys):
+    for digits in ("1000001", "9" * 5000):
+        code, out, err = run(capsys, "trace", "-s", "bn", "#church:" + digits)
+        assert code == 1
+        assert out == ""
+        assert err == "error: #church numeral at offset 0 is above 1,000,000\n"
+
+
+def test_defuse_of_a_rejected_hybrid_is_an_error(capsys):
+    for argv in (("defuse", "HHH<>III"), ("defuse", "HHH<>III", "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot defuse HHH<>III: spurious; H3: ")
+
+
 def test_validate_flags_spurious(capsys):
     code, out, _ = run(capsys, "validate", "HIH<>SIS")
     assert code == 1

@@ -246,6 +246,28 @@ def test_defuse_examples():
     assert defuse(parse_spec("so")) == frozenset()
 
 
+def test_defuse_refuses_a_rejected_hybrid_as_fuse_does():
+    kept = 0
+    for spec in all_hybrids():
+        report = validate(spec)
+        if report.verdict not in REJECTED:
+            # Unbalanced, degenerate and X<>X hybrids have a preimage,
+            # empty or not.
+            assert isinstance(defuse(spec), frozenset)
+            kept += 1
+            continue
+        with pytest.raises(NotationError) as raised:
+            defuse(spec)
+        detail = "".join(f"; {d.proviso}: {d.message}"
+                         for d in report.diagnostics)
+        assert str(raised.value) == (
+            f"cannot defuse {print_spec(spec)}: {report.verdict}{detail}")
+    assert kept == 216 - 175
+    with pytest.raises(NotationError) as raised:
+        fuse("II.III")
+    assert str(raised.value).startswith("cannot fuse II.III: invalid; ER2: ")
+
+
 def test_defuse_fuse_round_trip():
     for rb in valid_readbacks():
         assert rb in defuse(fuse(rb).hybrid), print_spec(rb)
@@ -276,9 +298,9 @@ def test_rejection_rule_is_the_one_every_caller_applies(capsys):
         exit_one = main(["validate", print_spec(spec)]) == 1
         capsys.readouterr()
         agree = {refused, exit_one}
-        if isinstance(spec, ReadbackSpec):
+        if not isinstance(spec, UniformSpec):
             try:
-                fuse(spec)
+                (fuse if isinstance(spec, ReadbackSpec) else defuse)(spec)
                 agree.add(False)
             except NotationError:
                 agree.add(True)

@@ -26,6 +26,7 @@ from lambdalab import (
     print_term,
     substitute,
 )
+from lambdalab import terms as terms_module
 
 
 def test_parse_identity():
@@ -52,6 +53,24 @@ def test_parse_accepts_lambda_glyph_and_multi_binders():
 def test_parse_comments_and_church_builtin():
     assert parse_term("x -- the rest is ignored") == Var("x")
     assert alpha_eq(parse_term("#church:3"), churchN(3))
+
+
+@pytest.mark.parametrize("text", ["#church:1000001", "#church:" + "9" * 5000,
+                                  "#church:0" + "1" * 7],
+                         ids=["one-above", "5000-digits", "leading-zero"])
+def test_parse_refuses_a_church_numeral_above_the_node_limit(text, monkeypatch):
+    # Refused before int() (which refuses 4,300 digits) and before any
+    # numeral is built.
+    monkeypatch.setattr(terms_module, "churchN", lambda n: pytest.fail(n))
+    with pytest.raises(ParseError, match="above 1,000,000"):
+        parse_term(text)
+
+
+def test_parse_builds_a_church_numeral_up_to_the_node_limit(monkeypatch):
+    built = []
+    monkeypatch.setattr(terms_module, "churchN", lambda n: built.append(n) or Var("n"))
+    parse_term("#church:1000000 #church:0001000000 #church:000")
+    assert built == [1000000, 1000000, 0]
 
 
 @pytest.mark.parametrize("bad", ["(((", "\\.x", ")", "", "\\x", "x )"])
