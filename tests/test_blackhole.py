@@ -81,6 +81,27 @@ def test_a_smaller_budget_gives_a_prefix_of_the_trace():
             assert outcome.trace == full[:fuel], (spec, print_term(term), fuel)
 
 
+def test_every_divergent_run_skips_after_at_most_40_contractions(monkeypatch):
+    # At fuel 3000 the checks fall on steps 8, 24, 40, ...; a repeat of
+    # period 16 is confirmed at step 24, and the whole periods but the
+    # last are skipped, so 16 more contractions run for real.
+    divergent = _divergent()
+    skipped = []
+    skip = engine._Machine._skip
+
+    def spy(machine, *args):
+        before = machine.fuel
+        skip(machine, *args)
+        skipped.append(before - machine.fuel)
+
+    monkeypatch.setattr(engine._Machine, "_skip", spy)
+    for spec, term in divergent:
+        skipped.clear()
+        outcome = evaluate(spec, term, 3000, record_trace=False)
+        assert len(skipped) == 1 and skipped[0] > 0, (spec, print_term(term))
+        assert outcome.fuel_used - skipped[0] <= 40, (spec, print_term(term))
+
+
 def test_a_repeat_must_share_like_the_first_occurrence():
     # substitute memoises by node identity, so two equal terms with
     # different sharing may allocate differently in the same period.
