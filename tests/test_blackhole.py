@@ -85,7 +85,7 @@ def test_every_divergent_run_skips_after_at_most_40_contractions(monkeypatch):
     # At fuel 3000 the checks fall on steps 8, 24, 40, ...; a repeat of
     # period 16 is confirmed at step 24, and the whole periods but the
     # last are skipped, so 16 more contractions run for real.
-    divergent = _divergent()
+    divergent = _divergent()  # before the spy, which it would feed
     skipped = []
     skip = engine._Machine._skip
 

@@ -61,7 +61,8 @@ def test_parse_comments_and_church_builtin():
 def test_parse_refuses_a_church_numeral_above_the_node_limit(text, monkeypatch):
     # Refused before int() (which refuses 4,300 digits) and before any
     # numeral is built.
-    monkeypatch.setattr(terms_module, "churchN", lambda n: pytest.fail(n))
+    monkeypatch.setattr(terms_module, "churchN",
+                        lambda n: pytest.fail(f"built #church:{n}"))
     with pytest.raises(ParseError, match="above 1,000,000"):
         parse_term(text)
 
