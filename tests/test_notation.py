@@ -1,6 +1,7 @@
 """Strategy encodings: parsing, provisos, the fuse/defuse algebra, and
 the result forms the catalogue gives each row."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from lambdalab import (
     print_spec,
     validate,
 )
+from lambdalab import notation
 from lambdalab.cli import main
 from lambdalab.notation import _HAND_WRITTEN, REJECTED
 
@@ -158,6 +160,27 @@ def test_readback_enumeration_counts():
         if report.verdict == "invalid":
             assert report.diagnostics, print_spec(spec)
     assert counts == {"valid-readback": 22, "invalid": 106}
+
+
+# sha256 over (encoding, verdict, [(proviso, message), ...]) for every
+# encoding in survey order: pins each report's verdict, its diagnostics,
+# their wording and their order, which the notation digest in
+# tests/fingerprint.py sees only for the catalogue rows and a few others.
+VALIDATE_DIGEST = "7ab54b9af6859c4387e995b12f50f63daf96745c8eb563dec1e7ae89104e59e2"
+
+
+def test_validate_reports_on_every_encoding_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for spec in notation._survey():
+        report = validate(spec)
+        assert report.spec == spec
+        digest.update(repr((print_spec(spec), report.verdict,
+                            [(d.proviso, d.message)
+                             for d in report.diagnostics])).encode())
+        count += 1
+    assert count == 352
+    assert digest.hexdigest() == VALIDATE_DIGEST
 
 
 def test_catalogue_shape():
