@@ -17,9 +17,12 @@ each premise of its abstraction and application rules:
 
 validate() classifies an encoding: the valid kinds, the degenerate ones
 that collapse to a uniform evaluator, the spurious hybrids whose extra
-structure adds no evaluation, and invalid readbacks. fuse() rewrites a
-staged readback into its one-step-equivalent hybrid, and defuse()
-returns fuse's preimage: the readbacks that fuse to a given hybrid.
+structure adds no evaluation, and invalid readbacks. The provisos are one
+rule table per encoding kind, judged before any message is written:
+catalogue(), fuse() and defuse() read the verdict alone, and validate()
+alone words the diagnostics. fuse() rewrites a staged readback into its
+one-step-equivalent hybrid, and defuse() returns fuse's preimage: the
+readbacks that fuse to a given hybrid.
 
 catalogue() lists every encoding validate() accepts, classified by its
 verdict; only what the provisos leave open, the result forms and the
@@ -163,146 +166,6 @@ class ValidationReport:
 REJECTED = ("spurious", "invalid")
 
 
-def validate(spec: StrategySpec | str) -> ValidationReport:
-    """Check an encoding against the hybrid/readback provisos.
-
-    Verdicts: the three valid evaluator kinds plus valid-readback;
-    degenerate-uniform for hybrids that merely restate a uniform
-    evaluator; spurious for hybrids violating a proviso; invalid for
-    readbacks that are vacuous or incompatible with their eval stage.
-    """
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    if isinstance(spec, UniformSpec):
-        return ValidationReport(spec, "valid-uniform")
-    if isinstance(spec, HybridSpec):
-        return _validate_hybrid(spec)
-    return _validate_readback(spec)
-
-
-def _validate_hybrid(spec: HybridSpec) -> ValidationReport:
-    sub = spec.subsidiary
-    if "H" not in spec.triple and spec.triple == sub.triple:
-        return ValidationReport(
-            spec,
-            "degenerate-uniform",
-            (
-                Diagnostic(
-                    "H2",
-                    f"defines uniform {print_spec(sub)}: every slot repeats "
-                    "the subsidiary, so no premise exceeds it",
-                ),
-            ),
-        )
-    diags = []
-    # The slot order is {id} <= {id, su, hy} and {su} <= {su, hy}: the
-    # hybrid may never evaluate a premise less than its subsidiary does.
-    for label, hslot, sslot in (("la", spec.la, sub.la), ("ar2", spec.ar2, sub.ar2)):
-        if sslot == "S" and hslot == "I":
-            diags.append(
-                Diagnostic(
-                    "H2",
-                    f"{label}: hybrid is the identity where the subsidiary "
-                    "calls itself",
-                )
-            )
-    if sub.ar1 == "I" and spec.ar1 != "I":
-        diags.append(
-            Diagnostic(
-                "H3",
-                "ar1: a non-strict subsidiary requires the identity on the "
-                "contraction operand",
-            )
-        )
-    if sub.ar1 == "S" and spec.ar1 == "I":
-        diags.append(
-            Diagnostic(
-                "H3",
-                "ar1: a strict subsidiary requires the hybrid to evaluate "
-                "the contraction operand at least as much",
-            )
-        )
-    if "H" not in (spec.la, spec.ar2):
-        diags.append(
-            Diagnostic(
-                "H2",
-                "no la or ar2 premise calls the hybrid, so the encoding "
-                "cannot evaluate past its subsidiary",
-            )
-        )
-    elif not any(
-        s == "I" and h in ("S", "H")
-        for h, s in ((spec.la, sub.la), (spec.ar2, sub.ar2))
-    ):
-        diags.append(
-            Diagnostic(
-                "H2",
-                "no la or ar2 premise evaluates where the subsidiary is the "
-                "identity, so the hybrid adds no evaluation",
-            )
-        )
-    if diags:
-        return ValidationReport(spec, "spurious", tuple(diags))
-    if spec.triple == ("I", "I", "H") and sub.triple == ("I", "I", "I"):
-        return ValidationReport(
-            spec,
-            "degenerate-uniform",
-            (
-                Diagnostic(
-                    "degenerate",
-                    "defines uniform IIS: the provisos hold, but the hybrid "
-                    "pass over neutral operands evaluates exactly what IIS "
-                    "already evaluates",
-                ),
-            ),
-        )
-    kind = (
-        "valid-hybrid-balanced" if spec.ar1 == sub.ar1 else "valid-hybrid-unbalanced"
-    )
-    return ValidationReport(spec, kind)
-
-
-def _validate_readback(spec: ReadbackSpec) -> ValidationReport:
-    ev = spec.ev
-    diags = []
-    pairs = (("la", spec.la, ev.la), ("ar2", spec.ar2, ev.ar2))
-    for label, rslot, eslot in pairs:
-        if (rslot, eslot) not in _COMPOSE:
-            diags.append(
-                Diagnostic(
-                    "ER2",
-                    f"{label}: readback slot {_slot_text(rslot)} cannot sit "
-                    f"over eval slot {eslot}",
-                )
-            )
-    if not any(
-        eslot == "I" and rslot in ("E", "RE") for _, rslot, eslot in pairs
-    ):
-        diags.append(
-            Diagnostic(
-                "ER2",
-                "readback never calls eval on a premise where eval was the "
-                "identity, so the staging is vacuous",
-            )
-        )
-    if not any(rslot in ("R", "RE") for _, rslot, _e in pairs):
-        diags.append(
-            Diagnostic(
-                "ER2",
-                "readback never recurses on a body or operand premise",
-            )
-        )
-    if diags:
-        return ValidationReport(spec, "invalid", tuple(diags))
-    return ValidationReport(spec, "valid-readback")
-
-
-@dataclass(frozen=True)
-class FusionResult:
-    hybrid: HybridSpec
-    mcr: bool
-
-
 # compose(readback slot, eval slot) -> hybrid slot: sequencing the eval
 # stage's action with the readback stage's action on the same premise.
 # Its keys are the slots readback may sit over: where eval already
@@ -315,6 +178,102 @@ _COMPOSE = {
     ("I", "S"): "S",
     ("R", "S"): "H",
 }
+
+
+# The provisos, one table per encoding kind. A row is (verdict, proviso,
+# broken(spec, sub), message), sub being the hybrid's subsidiary or the
+# readback's eval stage. An encoding takes the verdict of the first row it
+# breaks and reports every row it breaks that gives the same verdict, in
+# table order; one that breaks none is valid.
+_RESTATES = ("degenerate-uniform", "H2", lambda h, s: h.triple == s.triple,
+             "defines uniform {sub.la}{sub.ar1}{sub.ar2}: every slot repeats "
+             "the subsidiary, so no premise exceeds it")
+
+# The slot order is {id} <= {id, su, hy} and {su} <= {su, hy}: the hybrid
+# may never evaluate a premise less than its subsidiary does.
+_HYBRID_PROVISOS = (
+    _RESTATES,
+    ("spurious", "H2", lambda h, s: s.la == "S" and h.la == "I",
+     "la: hybrid is the identity where the subsidiary calls itself"),
+    ("spurious", "H2", lambda h, s: s.ar2 == "S" and h.ar2 == "I",
+     "ar2: hybrid is the identity where the subsidiary calls itself"),
+    ("spurious", "H3", lambda h, s: s.ar1 == "I" and h.ar1 != "I",
+     "ar1: a non-strict subsidiary requires the identity on the "
+     "contraction operand"),
+    ("spurious", "H3", lambda h, s: s.ar1 == "S" and h.ar1 == "I",
+     "ar1: a strict subsidiary requires the hybrid to evaluate the "
+     "contraction operand at least as much"),
+    ("spurious", "H2", lambda h, s: "H" not in (h.la, h.ar2),
+     "no la or ar2 premise calls the hybrid, so the encoding cannot "
+     "evaluate past its subsidiary"),
+    ("spurious", "H2",
+     lambda h, s: "H" in (h.la, h.ar2) and not (
+         s.la == "I" and h.la != "I" or s.ar2 == "I" and h.ar2 != "I"),
+     "no la or ar2 premise evaluates where the subsidiary is the "
+     "identity, so the hybrid adds no evaluation"),
+    ("degenerate-uniform", "degenerate",
+     lambda h, s: h.triple == ("I", "I", "H") and s.triple == ("I", "I", "I"),
+     "defines uniform IIS: the provisos hold, but the hybrid pass over "
+     "neutral operands evaluates exactly what IIS already evaluates"),
+)
+
+_READBACK_PROVISOS = (
+    ("invalid", "ER2", lambda r, e: (r.la, e.la) not in _COMPOSE,
+     "la: readback slot {la} cannot sit over eval slot {sub.la}"),
+    ("invalid", "ER2", lambda r, e: (r.ar2, e.ar2) not in _COMPOSE,
+     "ar2: readback slot {ar2} cannot sit over eval slot {sub.ar2}"),
+    ("invalid", "ER2",
+     lambda r, e: not (e.la == "I" and r.la in ("E", "RE")
+                       or e.ar2 == "I" and r.ar2 in ("E", "RE")),
+     "readback never calls eval on a premise where eval was the identity, "
+     "so the staging is vacuous"),
+    ("invalid", "ER2", lambda r, e: not {r.la, r.ar2} & {"R", "RE"},
+     "readback never recurses on a body or operand premise"),
+)
+
+
+def _judge(spec: StrategySpec):
+    """The verdict on spec and the proviso rows it is reported under. No
+    message is formatted here: most callers read the verdict alone."""
+    if isinstance(spec, UniformSpec):
+        return "valid-uniform", ()
+    if isinstance(spec, HybridSpec):
+        sub, table = spec.subsidiary, _HYBRID_PROVISOS
+        verdict = ("valid-hybrid-balanced" if spec.ar1 == sub.ar1
+                   else "valid-hybrid-unbalanced")
+    else:
+        sub, table, verdict = spec.ev, _READBACK_PROVISOS, "valid-readback"
+    broken = [row for row in table if row[2](spec, sub)]
+    if not broken:
+        return verdict, ()
+    verdict = broken[0][0]
+    return verdict, tuple(row for row in broken if row[0] == verdict)
+
+
+def validate(spec: StrategySpec | str) -> ValidationReport:
+    """Check an encoding against the hybrid/readback provisos.
+
+    Verdicts: the three valid evaluator kinds plus valid-readback;
+    degenerate-uniform for hybrids that merely restate a uniform
+    evaluator; spurious for hybrids violating a proviso; invalid for
+    readbacks that are vacuous or incompatible with their eval stage.
+    """
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    verdict, broken = _judge(spec)
+    if not broken:
+        return ValidationReport(spec, verdict)
+    fields = {"sub": spec.subsidiary if isinstance(spec, HybridSpec) else spec.ev,
+              "la": _slot_text(spec.la), "ar2": _slot_text(spec.ar2)}
+    return ValidationReport(spec, verdict, tuple(
+        Diagnostic(proviso, message.format(**fields))
+        for _, proviso, _, message in broken))
+
+
+@dataclass(frozen=True)
+class FusionResult:
+    hybrid: HybridSpec
+    mcr: bool
 
 
 def fuse(spec: ReadbackSpec | str) -> FusionResult:
@@ -342,11 +301,11 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
 
 
 def _refuse_rejected(verb, spec):
-    report = validate(spec)
-    if report.verdict in REJECTED:
+    verdict, _ = _judge(spec)
+    if verdict in REJECTED:
         raise NotationError(
-            f"cannot {verb} {print_spec(spec)}: {report.verdict}"
-            + "".join(f"; {d.proviso}: {d.message}" for d in report.diagnostics)
+            f"cannot {verb} {print_spec(spec)}: {verdict}" + "".join(
+                f"; {d.proviso}: {d.message}" for d in validate(spec).diagnostics)
         )
 
 
@@ -468,9 +427,8 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
     """
     rows = []
     for spec in _survey():
-        verdict = validate(spec).verdict
-        if verdict in REJECTED or (isinstance(spec, HybridSpec)
-                                   and spec.triple == spec.subsidiary.triple):
+        verdict, broken = _judge(spec)
+        if verdict in REJECTED or _RESTATES in broken:
             continue
         classification = verdict.split("-", 1)[1].replace("-", " ")
         rows.append(CatalogueEntry(alias_of(spec), spec, classification,
