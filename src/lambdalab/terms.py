@@ -473,8 +473,9 @@ def print_term(t: Term) -> str:
     return "".join(out)
 
 
-# The largest n #church:<n> builds, the engine's default max_nodes: the
-# numeral has n + 2 nodes, and a larger request would allocate unbounded.
+# The largest n the #church:<n> numerals of one term may sum to, the
+# engine's default max_nodes: a numeral has n + 2 nodes, and a larger
+# request would allocate unbounded.
 _CHURCH_MAX = 1_000_000
 
 _TOKEN = re.compile(
@@ -516,6 +517,8 @@ def parse_term(text: str) -> Term:
     to end of line.
     """
     toks = _tokenize(text)
+    if "#church:" in text:
+        _check_church(toks)
     pos = 0
     n = len(toks)
     # Frames hold (binders, items) segments; a lambda opens a new segment
@@ -545,12 +548,7 @@ def parse_term(text: str) -> Term:
         elif kind == "builtin":
             name = text_[1:]
             if name.startswith("church:"):
-                digits = name[7:].lstrip("0")
-                # Checked before int(), which refuses 4,300 digits.
-                if len(digits) > 7 or int(digits or 0) > _CHURCH_MAX:
-                    raise ParseError(f"#church numeral at offset {at} is "
-                                     f"above {_CHURCH_MAX:,}")
-                frames[-1][-1][1].append(churchN(int(digits or 0)))
+                frames[-1][-1][1].append(churchN(int(name[7:])))
                 pos += 1
                 continue
             if name not in _BUILTINS:
@@ -586,6 +584,23 @@ def parse_term(text: str) -> Term:
     if len(frames) > 1:
         raise ParseError("unbalanced '(': group never closed")
     return fold(frames[0], "in input")
+
+
+def _check_church(toks):
+    """Refuse the term before any numeral is built if one #church:<n> or
+    the sum over all of them is above _CHURCH_MAX."""
+    total = 0
+    for kind, text, at in toks:
+        if kind == "builtin" and text.startswith("#church:"):
+            digits = text[8:].lstrip("0")
+            # Checked before int(), which refuses 4,300 digits.
+            if len(digits) > 7 or int(digits or 0) > _CHURCH_MAX:
+                raise ParseError(f"#church numeral at offset {at} is "
+                                 f"above {_CHURCH_MAX:,}")
+            total += int(digits or 0)
+    if total > _CHURCH_MAX:
+        raise ParseError(f"#church numerals sum to {total:,}, above "
+                         f"{_CHURCH_MAX:,}")
 
 
 def churchN(n: int) -> Term:

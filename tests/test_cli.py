@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from lambdalab import GenConfig, free_vars, generate, parse_term, print_term
+from lambdalab import (GenConfig, Var, free_vars, generate, parse_term,
+                       print_term)
+from lambdalab import terms as terms_module
 from lambdalab.cli import build_parser, main
 from lambdalab.lab import DEFAULT_FACTORIAL_FUEL
 
@@ -169,6 +171,19 @@ def test_a_church_numeral_above_the_node_limit_is_an_error(capsys):
         assert code == 1
         assert out == ""
         assert err == "error: #church numeral at offset 0 is above 1,000,000\n"
+
+
+def test_church_numerals_summing_above_the_node_limit_are_an_error(
+        capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(terms_module, "churchN",
+                        lambda n: built.append(n) or Var("n"))
+    code, out, err = run(capsys, "trace", "-s", "bn",
+                         "#church:600000 #church:600000")
+    assert (code, out, built) == (1, "", [])
+    assert err == "error: #church numerals sum to 1,200,000, above 1,000,000\n"
+    code, out, _ = run(capsys, "trace", "-s", "bn", "#church:1000000")
+    assert (code, built) == (0, [1000000])
 
 
 def test_defuse_of_a_rejected_hybrid_is_an_error(capsys):

@@ -56,11 +56,13 @@ def test_parse_comments_and_church_builtin():
 
 
 @pytest.mark.parametrize("text", ["#church:1000001", "#church:" + "9" * 5000,
-                                  "#church:0" + "1" * 7],
-                         ids=["one-above", "5000-digits", "leading-zero"])
+                                  "#church:0" + "1" * 7,
+                                  "#church:600000 #church:600000"],
+                         ids=["one-above", "5000-digits", "leading-zero",
+                              "sum-above"])
 def test_parse_refuses_a_church_numeral_above_the_node_limit(text, monkeypatch):
     # Refused before int() (which refuses 4,300 digits) and before any
-    # numeral is built.
+    # numeral is built; the bound holds for the sum over one term.
     monkeypatch.setattr(terms_module, "churchN",
                         lambda n: pytest.fail(f"built #church:{n}"))
     with pytest.raises(ParseError, match="above 1,000,000"):
@@ -70,8 +72,10 @@ def test_parse_refuses_a_church_numeral_above_the_node_limit(text, monkeypatch):
 def test_parse_builds_a_church_numeral_up_to_the_node_limit(monkeypatch):
     built = []
     monkeypatch.setattr(terms_module, "churchN", lambda n: built.append(n) or Var("n"))
-    parse_term("#church:1000000 #church:0001000000 #church:000")
-    assert built == [1000000, 1000000, 0]
+    parse_term("#church:1000000")
+    parse_term("#church:0001000000 #church:000")
+    parse_term("#church:999999 (#church:1)")
+    assert built == [1000000, 1000000, 0, 999999, 1]
 
 
 @pytest.mark.parametrize("bad", ["(((", "\\.x", ")", "", "\\x", "x )"])
