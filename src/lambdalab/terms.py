@@ -5,10 +5,14 @@ applications. Binding is by name; capture is avoided by renaming binders
 with a deterministic trailing-number freshening scheme, so two runs over
 the same inputs always pick the same names.
 
-Every traversal here (equality, free variables, substitution, alpha
-equivalence, classification, printing, parsing) uses an explicit work
-stack. Divergent terms routinely grow very deep before an evaluator's
-fuel runs out, and none of these helpers may crash on such terms.
+Divergent terms routinely grow very deep before an evaluator's fuel runs
+out, and none of these helpers may crash on such terms. Equality, alpha
+equivalence, classification, printing and parsing use an explicit work
+stack. Substitution and free variables, the walks made once per
+contraction, recurse for the first _RECURSION_DEPTH levels, which is
+cheaper than a stack of frames, and hand the rest of a deeper subterm to
+an explicit-stack loop. So a call adds a bounded number of frames to the
+Python stack however deep its term is.
 """
 
 from __future__ import annotations
@@ -98,30 +102,73 @@ class App(Term):
         self._fv = None
 
 
+# How many levels substitute and free_vars descend by plain recursion
+# before they hand the rest of a subterm to their explicit-stack loop.
+# free_vars runs inside substitute, so one call adds at most about twice
+# this many frames to the Python stack, well under half of the default
+# recursion limit of 1000.
+_RECURSION_DEPTH = 200
+
+
 def free_vars(t: Term) -> frozenset[str]:
     """Free variable names of t. Cached on Lam/App nodes."""
     if type(t) is Var:
         return frozenset((t.name,))
-    if t._fv is not None:
-        return t._fv
+    fv = t._fv
+    return _fv_walk(t, _RECURSION_DEPTH) if fv is None else fv
+
+
+def _fv_walk(node, depth):
+    """Cache and return the set of node, a Lam or App without one, by
+    recursion for depth levels and then by _fv_loop."""
+    if not depth:
+        return _fv_loop(node)
+    depth -= 1
+    if type(node) is Lam:
+        b = node.body
+        if type(b) is not Var and b._fv is None:
+            _fv_walk(b, depth)
+    else:
+        m = node.operator
+        if type(m) is not Var and m._fv is None:
+            _fv_walk(m, depth)
+        n = node.operand
+        if type(n) is not Var and n._fv is None:
+            _fv_walk(n, depth)
+    return _fv_join(node)
+
+
+def _fv_loop(t):
     stack = [t]
     while stack:
         node = stack.pop()
-        ty = type(node)
-        if ty is Var or node._fv is not None:
+        if node._fv is not None:
             continue
-        kids = (node.body,) if ty is Lam else (node.operator, node.operand)
+        if type(node) is Lam:
+            kids = (node.body,)
+        else:
+            kids = (node.operator, node.operand)
         pending = [k for k in kids if type(k) is not Var and k._fv is None]
         if pending:
             stack.append(node)
             stack.extend(pending)
             continue
-        if ty is Lam:
-            bfv = _fv_quick(node.body)
-            node._fv = bfv.difference((node.param,)) if node.param in bfv else bfv
-        else:
-            node._fv = _fv_quick(node.operator) | _fv_quick(node.operand)
+        _fv_join(node)
     return t._fv
+
+
+def _fv_join(node):
+    """Cache and return the set of node from its children's, which are
+    known. Where a child's set is the answer it is shared, not copied."""
+    if type(node) is Lam:
+        bfv = _fv_quick(node.body)
+        fv = bfv.difference((node.param,)) if node.param in bfv else bfv
+    else:
+        a = _fv_quick(node.operator)
+        b = _fv_quick(node.operand)
+        fv = a if b <= a else b if a <= b else a | b
+    node._fv = fv
+    return fv
 
 
 def _fv_quick(node):
@@ -151,10 +198,6 @@ def fresh_var(used, base: str) -> str:
     return f"{stem}{best + 1}"
 
 
-# substitute() instruction opcodes
-_S_GO, _S_LAM, _S_APP, _S_AGAIN = 0, 1, 2, 3
-
-
 def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
     """Capture-avoiding substitution: [operand/var]body.
 
@@ -171,8 +214,74 @@ def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
         return operand if body.name == var else body
     if var not in free_vars(body):
         return body
-    memo = {}
-    instr = [(_S_GO, body, var, operand, free_vars(operand))]
+    return _subst(body, var, operand, free_vars(operand), {}, _alloc,
+                  _RECURSION_DEPTH)
+
+
+def _charge(alloc):
+    """Spend one node of the allowance alloc, if there is one."""
+    if alloc is not None:
+        alloc[0] -= 1
+        if alloc[0] < 0:
+            raise ResourceLimitError("substitution allocation limit exceeded")
+
+
+def _subst(node, v, rand, fvr, memo, alloc, depth):
+    """[rand/v]node by recursion for depth levels, then by _subst_loop.
+
+    fvr is free_vars(rand). memo maps (id(node), v, id(rand)) to the
+    result for that node; both walks fill the same one, in the same
+    order, so they build, share and charge exactly the same nodes. Its
+    values keep every rename copy, and so every id in its keys, alive.
+    """
+    if not depth:
+        return _subst_loop(node, v, rand, fvr, memo, alloc)
+    ty = type(node)
+    if ty is Var:
+        return rand if node.name == v else node
+    fv = node._fv
+    if v not in (_fv_walk(node, _RECURSION_DEPTH) if fv is None else fv):
+        return node
+    key = (id(node), v, id(rand))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    depth -= 1
+    if ty is Lam:
+        p = node.param
+        b = node.body
+        if p in fvr:
+            # Renaming re-enters substitution, which keeps nested binder
+            # collisions capture-safe.
+            fresh = fresh_var(fvr | free_vars(b) | {v}, p)
+            b = _subst(b, p, Var(fresh), frozenset((fresh,)), memo, alloc,
+                       depth)
+            p = fresh
+        nb = _subst(b, v, rand, fvr, memo, alloc, depth)
+        if nb is node.body and p == node.param:
+            out = node
+        else:
+            out = Lam(p, nb)
+            _charge(alloc)
+    else:
+        nm = _subst(node.operator, v, rand, fvr, memo, alloc, depth)
+        nn = _subst(node.operand, v, rand, fvr, memo, alloc, depth)
+        if nm is node.operator and nn is node.operand:
+            out = node
+        else:
+            out = App(nm, nn)
+            _charge(alloc)
+    memo[key] = out
+    return out
+
+
+# _subst_loop instruction opcodes
+_S_GO, _S_LAM, _S_APP, _S_AGAIN = 0, 1, 2, 3
+
+
+def _subst_loop(node, v, rand, fvr, memo, alloc):
+    """[rand/v]node as _subst computes it, on an explicit stack."""
+    instr = [(_S_GO, node, v, rand, fvr)]
     vals = []
     while instr:
         f = instr.pop()
@@ -194,8 +303,6 @@ def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
             if ty is Lam:
                 p = node.param
                 if p in fvr:
-                    # Renaming re-enters substitution, which keeps nested
-                    # binder collisions capture-safe.
                     fresh = fresh_var(fvr | free_vars(node.body) | {v}, p)
                     instr.append((_S_LAM, node, fresh, key))
                     instr.append((_S_AGAIN, v, rand, fvr))
@@ -216,14 +323,8 @@ def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
                 out = node
             else:
                 out = Lam(p, nb)
-                if _alloc is not None:
-                    _alloc[0] -= 1
-                    if _alloc[0] < 0:
-                        raise ResourceLimitError(
-                            "substitution allocation limit exceeded"
-                        )
-            if key is not None:
-                memo[key] = out
+                _charge(alloc)
+            memo[key] = out
             vals.append(out)
         elif op == _S_APP:
             _, node, key = f
@@ -233,12 +334,7 @@ def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
                 out = node
             else:
                 out = App(nm, nn)
-                if _alloc is not None:
-                    _alloc[0] -= 1
-                    if _alloc[0] < 0:
-                        raise ResourceLimitError(
-                            "substitution allocation limit exceeded"
-                        )
+                _charge(alloc)
             memo[key] = out
             vals.append(out)
         else:  # _S_AGAIN: feed a finished rename back through [rand/v]

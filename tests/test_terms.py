@@ -1,11 +1,15 @@
 """Term algebra: parsing, printing, substitution, classification."""
 
+import contextlib
+import inspect
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 import oracle
-from strategies import NAMES, contractions, copy_term, terms
+from strategies import NAMES, close_term, contractions, copy_term, terms
 
 from lambdalab import (
     App,
@@ -13,11 +17,14 @@ from lambdalab import (
     GenConfig,
     Lam,
     ParseError,
+    ResourceLimitError,
     Var,
     alpha_eq,
     builtins,
     churchN,
     classify,
+    evaluate,
+    factorial_term,
     free_vars,
     fresh_var,
     generate,
@@ -26,6 +33,7 @@ from lambdalab import (
     print_term,
     substitute,
 )
+from lambdalab import engine
 from lambdalab import terms as terms_module
 
 
@@ -230,21 +238,155 @@ def test_classify_whnf_matches_oracle(t):
     )
 
 
+# substitute and free_vars recurse for terms_module._RECURSION_DEPTH
+# levels and walk the rest of a subterm on an explicit stack. At 0 every
+# walk is the stack loop; at 2 hypothesis terms cross from one walk to
+# the other, renames included.
+DEFAULT_DEPTH = terms_module._RECURSION_DEPTH
+HANDOFF_DEPTHS = pytest.mark.parametrize("depth", [DEFAULT_DEPTH, 0, 2],
+                                         ids=["default", "0", "2"])
+
+
+@contextlib.contextmanager
+def at_depth(depth):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(terms_module, "_RECURSION_DEPTH", depth)
+        yield
+
+
+@HANDOFF_DEPTHS
 @given(st.sampled_from(NAMES), terms(), terms())
-def test_substitute_matches_oracle_beta(x, body, operand):
-    mine = substitute(operand, x, body)
+def test_substitute_matches_oracle_beta(depth, x, body, operand):
+    with at_depth(depth):
+        mine = substitute(operand, x, body)
     lam = oracle.to_db(Lam(x, body))
     assert oracle.to_db(mine) == oracle.beta(lam[1], oracle.to_db(operand))
 
 
+@HANDOFF_DEPTHS
 @given(st.sampled_from(NAMES), terms(), terms())
-def test_substitute_free_vars_bound(x, body, operand):
-    got = free_vars(substitute(operand, x, body))
+def test_substitute_free_vars_bound(depth, x, body, operand):
+    with at_depth(depth):
+        got = free_vars(substitute(operand, x, body))
     bound = (free_vars(body) - {x}) | free_vars(operand)
     if x in free_vars(body):
         assert got == bound
     else:
         assert got == free_vars(body)
+
+
+def replay(call, depth):
+    """One recorded engine call of substitute at depth: its result, the
+    nodes it allocated, and the free variables of the result, walked at
+    the same depth."""
+    operand, var, body = call
+    with at_depth(depth):
+        alloc = [10**9]
+        out = substitute(operand, var, body, alloc)
+        return out, 10**9 - alloc[0], free_vars(out)
+
+
+def one_short_raises(call, spent, depth):
+    operand, var, body = call
+    with at_depth(depth), pytest.raises(ResourceLimitError):
+        substitute(operand, var, body, [spent - 1])
+
+
+@pytest.mark.parametrize("run", ["SSI on corpus term 527", "sn", "hn"])
+def test_recursion_and_stack_loop_agree_on_engine_calls(run, corpus_1337,
+                                                        monkeypatch):
+    # Term 527 grows until SSI hits sweep's max_nodes cap, and most of
+    # its calls hand off to the stack loop; factorial never does. Only
+    # hn's bodies share subterms that the memo must walk once. Equal
+    # allocation counts and sharing (the blackhole compares it with
+    # _same_dag) mean the default walk is the stack loop's twin.
+    calls = []
+    real = engine.substitute
+
+    def spy(operand, var, body, alloc=None):
+        calls.append((operand, var, body))
+        return real(operand, var, body, alloc)
+
+    monkeypatch.setattr(engine, "substitute", spy)
+    if run in ("sn", "hn"):
+        assert evaluate(run, factorial_term(run, 4), 250_000,
+                        record_trace=False).status == "converged"
+    else:
+        with pytest.raises(ResourceLimitError):
+            evaluate("SSI", corpus_1337[527], 20_000, record_trace=False,
+                     max_nodes=250_000)
+    assert len(calls) > 1000
+    for call in calls:
+        fast, spent, fv = replay(call, DEFAULT_DEPTH)
+        slow, spent_slow, fv_slow = replay(call, 0)
+        assert spent == spent_slow
+        assert engine._same_dag(fast, slow)
+        assert fv == fv_slow
+        if spent:
+            one_short_raises(call, spent, DEFAULT_DEPTH)
+            one_short_raises(call, spent, 0)
+
+
+DEEP = 10_000
+
+
+def deep_spine():
+    """x y y ... y, DEEP applications deep, fresh with every call."""
+    t = Var("x")
+    for _ in range(DEEP):
+        t = App(t, Var("y"))
+    return t
+
+
+def deep_binders():
+    """\\y.\\y. ... \\y.x y under DEEP binders, fresh with every call."""
+    t = App(Var("x"), Var("y"))
+    for _ in range(DEEP):
+        t = Lam("y", t)
+    return t
+
+
+def deep_rename_at_the_hand_off():
+    """(\\y.x (y (y ... y))) w ... w: the binder sits where substitute
+    hands off, and renaming it copies a spine DEEP levels deep, whose
+    free variables are then walked from there."""
+    t = Var("y")
+    for _ in range(DEEP):
+        t = App(Var("y"), t)
+    t = Lam("y", App(Var("x"), t))
+    for _ in range(DEFAULT_DEPTH - 1):
+        t = App(t, Var("w"))
+    return t
+
+
+@pytest.mark.parametrize("build", [deep_spine, deep_binders,
+                                   deep_rename_at_the_hand_off])
+def test_deep_terms_hand_off_to_the_stack_loop(build):
+    # [y/x] renames every binder of the last two. The two walks that
+    # nest, substitute and the free_vars inside it, must stay well under
+    # half of the default limit of 1000 frames.
+    here = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(here + 450)
+    try:
+        got = substitute(Var("y"), "x", build())
+        fv = free_vars(got)
+    finally:
+        sys.setrecursionlimit(limit)
+    with at_depth(0):
+        want = substitute(Var("y"), "x", build())
+        assert free_vars(want) == fv
+    assert got == want
+    assert fv == free_vars(build()) - {"x"} | {"y"}
+
+
+@given(terms(), terms(), st.sampled_from(NAMES))
+def test_free_vars_shares_a_containing_set(a, b, x):
+    # A union whose answer is one child's set returns that set itself.
+    for m in (App(a, b), Lam(x, App(a, b))):
+        fvm = free_vars(m)
+        for n in (m, close_term(b), *(Var(name) for name in sorted(fvm))):
+            assert free_vars(App(m, n)) is fvm
 
 
 @given(terms(), terms())
