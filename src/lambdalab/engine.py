@@ -68,17 +68,25 @@ stack, the path it adds to every address and its events repeat
 unchanged. The machine then accounts for all the whole periods that
 fuel, max_nodes and the frame limit (against the run's high-water
 depth, memo walks included) all leave room for, but one: it takes their
-fuel and allocations, lowers the frame limit by their growth, and
-appends copies of the period's events at the shifted address with the
-next step indices and the same redex and contractum objects. The rest
-runs for real, so which guard stops the run, and where, is what it was.
-The repeat never closes, so every later address descends from the
-repeat's path cell, which the machine re-bases past the skipped
-periods. A run that grows instead of repeating is not cut short.
+fuel and allocations and lowers the frame limit by their growth. The
+rest runs for real, so which guard stops the run, and where, is what it
+was. A run that grows instead of repeating is not cut short.
+
+The trace records a skip once, as the period's own events and the
+record (start, period length, count, head address, step), and builds
+the skipped events only when they are read (see Trace): copy c of a
+period event sits at head + step*c + its address past head, with the
+next step index and the same redex and contractum objects. The repeat
+never closes, so every later address descends from the repeat's path
+cell, which sits count periods deeper than it did; the machine records
+the events after the skip relative to that cell, so no address as long
+as the skipped run is deep is built unless it is read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -126,15 +134,79 @@ class TraceEvent:
         return f"TraceEvent({self.step_index}, {pos}, {self.redex!r} -> {self.contractum!r})"
 
 
+class Trace(Sequence):
+    """The contraction events of one run, in order: a read-only sequence
+    whose length, items, slices (tuples), iteration and == (against a
+    tuple or another Trace) are those of the tuple of all its events.
+
+    skip is None for a run that skipped no period, every converged run
+    among them; its events are all stored. For a run that did, skip is
+    (start, length, count, head, step): the length events from index
+    start are the period, at addresses that extend head, and the count
+    copies that follow it are not stored; copy c of period event start
+    + j is event start + c*length + j, at head + step*c + that event's
+    address past head, with its redex and contractum objects. The events
+    after the copies are stored with addresses relative to head +
+    step*(count+1). Every event past the period is built when read."""
+
+    __slots__ = ("_events", "skip", "_len")
+
+    def __init__(self, events, skip=None):
+        self._events = events
+        self.skip = skip
+        self._len = len(events) + (0 if skip is None else skip[1] * skip[2])
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        skip = self.skip
+        if skip is None:
+            return self._events[i]
+        if i.__class__ is slice:
+            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trace index out of range")
+        start, length, count, head, step = skip
+        if i < start + length:
+            return self._events[i]
+        c, j = divmod(i - start, length)
+        if c <= count:
+            e = self._events[start + j]
+            position = head + step * c + e.position[len(head):]
+        else:
+            e = self._events[i - count * length]
+            position = head + step * (count + 1) + e.position
+        return TraceEvent(i, position, e.redex, e.contractum)
+
+    def __iter__(self):
+        if self.skip is None:
+            return iter(self._events)
+        return map(self.__getitem__, range(self._len))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trace, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a is b or a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"Trace({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Outcome:
-    """Result of a fuel-bounded run. trace is None when recording was off.
-    stage is the outcome of a readback encoding's eval stage once that
-    stage has converged, and None otherwise."""
+    """Result of a fuel-bounded run. trace is None when recording was off;
+    else it is a Trace, a read-only sequence of the events that equals
+    their tuple. stage is the outcome of a readback encoding's eval stage
+    once that stage has converged, and None otherwise."""
 
     status: str
     result: Term | None
-    trace: tuple[TraceEvent, ...] | None
+    trace: Trace | None
     fuel_used: int
     stage: Outcome | None = None
 
@@ -310,6 +382,8 @@ class _Machine:
         # its span; span is None once a skip is made or ruled out.
         self.anchor = None
         self.span = 16
+        # The trace's skip record (see Trace), once a recording run skips.
+        self.skipped = None
 
     def path_tuple(self, path):
         # Paths live on the frame stack as cons cells (letter, parent);
@@ -525,8 +599,7 @@ class _Machine:
         self.fuel -= k * step
         self.alloc[0] -= k * grown
         self.max_frames -= k * rise
-        events = self.events
-        if events is None or self.trees:
+        if self.events is None or self.trees:
             # A tree run that skips ends in an error, so no event of it
             # is read.
             return
@@ -535,18 +608,12 @@ class _Machine:
         while p is not path0:
             letters.append(p[0])
             p = p[1]
-        q = tuple(reversed(letters))
-        head = self.path_tuple(path0)
-        cut = len(head)
-        period = events[count0:]
-        for i in range(1, k + 1):
-            mid = head + q * i
-            for e in period:
-                events.append(TraceEvent(len(events), mid + e.position[cut:],
-                                         e.redex, e.contractum))
+        self.skipped = (count0, step, k, self.path_tuple(path0),
+                        tuple(reversed(letters)))
         # The repeat never closes, so the address cell of every later
-        # event descends from path, which now sits k periods deeper.
-        self._ptup[id(path)] = (path, head + q * (k + 1))
+        # event descends from path, which now sits k periods deeper:
+        # those addresses are recorded relative to it.
+        self._ptup[id(path)] = (path, ())
 
     def _fixed_depth(self, walker, operand):
         """How deep above its start the walk of operand under walker
@@ -650,16 +717,19 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, max_frames,
         result = machine.run()
     except _OutOfFuel:
         exhausted = True
-    trace = None
+    trace = events = None
     if machine.record:
-        trace = tuple(machine.events)
+        events = tuple(machine.events)
+        trace = Trace(events, machine.skipped)
     stage = None
     if machine.stage is not None:
-        # The eval stage recorded one event per unit of fuel it spent.
+        # The eval stage recorded one event per unit of fuel it spent,
+        # before any skip.
         value, left = machine.stage
         spent = fuel - left
         stage = Outcome(CONVERGED, value,
-                        None if trace is None else trace[:spent], spent)
+                        None if events is None else Trace(events[:spent]),
+                        spent)
     if exhausted:
         outcome = Outcome(FUEL_EXHAUSTED, None, trace, fuel, stage)
     else:

@@ -10,6 +10,8 @@ reordering work between the operands of a neutral looks like in a trace.
 Every grade comes from one matcher, _match: a pairwise scan finds the
 first step where the traces part, then a trie over one trace's addresses
 matches each remaining event of the other to its earliest comparable one.
+Two runs that skip the same periods are scanned without building the
+skipped events (_first_difference).
 
 On top of that sit the corpus drivers: compare_corpus runs compare()
 over a term list, check_absorption tests whether running one strategy
@@ -33,6 +35,7 @@ from .engine import (
     DEFAULT_MAX_FRAMES,
     DEFAULT_MAX_NODES,
     Outcome,
+    Trace,
     TraceEvent,
     evaluate,
 )
@@ -209,6 +212,37 @@ class _TrieNode:
         self.submin = _INF
 
 
+def _scan(ta, tb, i, stop):
+    """The first index from i on, below stop, at which ta and tb differ,
+    or stop."""
+    while i < stop and _events_equal(ta[i], tb[i]):
+        i += 1
+    return i
+
+
+def _first_difference(ta, tb):
+    """The first index at which ta and tb differ pairwise, or the length
+    of the shorter one.
+
+    When both are Traces that skip the same region (the same start,
+    period length and count; see engine.Trace), the region is vouched
+    for without being built once the events before it agree and so do
+    the heads and steps: each of its events is head + step*c plus the
+    address, past head, of an agreeing period event, with that event's
+    redex. Anywhere else the scan goes event by event."""
+    sa = ta.skip if isinstance(ta, Trace) else None
+    sb = tb.skip if isinstance(tb, Trace) else None
+    i = 0
+    if sa is not None and sb is not None and sa[:3] == sb[:3]:
+        start, length, count = sa[:3]
+        i = _scan(ta, tb, 0, start + length)
+        if i < start + length:
+            return i
+        if sa[3:] == sb[3:]:
+            i += count * length
+    return _scan(ta, tb, i, min(len(ta), len(tb)))
+
+
 def _match(ta, tb, skip_unmatched):
     """The one trace matcher: returns (i, pair).
 
@@ -220,14 +254,12 @@ def _match(ta, tb, skip_unmatched):
     fails with f None or, for fuel-cut prefixes (skip_unmatched), is
     left to the other run's future. The shared prefix always matches
     itself, so the matching starts at i."""
-    n = min(len(ta), len(tb))
-    i = 0
-    while i < n and _events_equal(ta[i], tb[i]):
-        i += 1
+    i = _first_difference(ta, tb)
     if i == len(ta) == len(tb):
         return None, None
     trie = _PositionTrie(tb, i)
-    for e in ta[i:]:
+    # Each event of ta is built as it is read, not all at once.
+    for e in map(ta.__getitem__, range(i, len(ta))):
         fc = trie.first_comparable(e.position)
         if fc is _INF:
             if skip_unmatched:

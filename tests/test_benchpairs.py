@@ -1,0 +1,74 @@
+"""The paired-run summariser of tools/benchpairs.py, on canned result
+lines; no workload runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location(
+    "benchpairs", ROOT / "tools" / "benchpairs.py")
+benchpairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchpairs)
+
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.03},
+]
+
+
+def _line(wall_s, peak_rss_mb, failed=0):
+    return json.dumps({"correct": True, "attempted": 10, "failed": failed,
+                       "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                                   "peak_rss_mb": {"value": peak_rss_mb,
+                                                   "unit": "MB"}}})
+
+
+def _pairs(parent, change):
+    return [(json.loads(_line(*p)), json.loads(_line(*c)))
+            for p, c in zip(parent, change)]
+
+
+def test_last_json_line_is_the_result():
+    text = "wall_s 1.0 s\ndetail: {}\n" + _line(1.0, 90.0) + "\n"
+    assert benchpairs.last_json_line(text)["metrics"]["wall_s"]["value"] == 1.0
+
+
+def test_a_clear_gain_and_an_unchanged_metric():
+    parent = [(1.30 + 0.01 * (k % 3), 97.0 + 0.1 * (k % 2)) for k in range(10)]
+    change = [(0.24 + 0.01 * (k % 2), 97.05) for k in range(10)]
+    got = benchpairs.summarise(METRICS, _pairs(parent, change))
+    wall = got["metrics"]["wall_s"]
+    assert wall["verdict"] == "gain" and wall["wins"] == 10
+    assert wall["parent"]["median"] == 1.31
+    assert abs(wall["ratio"] - 0.245 / 1.31) < 1e-12
+    assert got["metrics"]["peak_rss_mb"]["verdict"] == "within bound"
+    assert got["failed"] == {"parent": [0] * 10, "change": [0] * 10}
+
+
+def test_a_gain_needs_nine_wins_in_ten():
+    parent = [1.0] * 10
+    change = [0.5] * 8 + [1.0, 1.2]
+    verdict = benchpairs.verdict(parent, change, 0.15)
+    assert verdict["wins"] == 8 and verdict["verdict"] == "within bound"
+
+
+def test_worse_beyond_the_bound():
+    verdict = benchpairs.verdict([100.0] * 5, [104.0] * 5, 0.03)
+    assert verdict["verdict"] == "worse" and verdict["wins"] == 0
+
+
+def test_a_noisy_parent_is_unresolved_unless_every_change_run_is_better():
+    parent = [40.0, 50.0, 60.0, 70.0, 80.0]
+    assert benchpairs.verdict(parent, [62.0, 55.0, 58.0, 61.0, 60.0],
+                              0.24)["verdict"] == "unresolved"
+    assert benchpairs.verdict(parent, [30.0, 31.0, 32.0, 33.0, 34.0],
+                              0.24)["verdict"] == "gain"
+    assert benchpairs.verdict(parent, [39.0, 39.0, 39.0, 90.0, 90.0],
+                              0.24)["verdict"] == "unresolved"
+
+
+def test_higher_is_better_metrics_flip_the_sign():
+    verdict = benchpairs.verdict([1.0] * 10, [2.0] * 10, 0.1,
+                                 lower_is_better=False)
+    assert verdict["verdict"] == "gain" and verdict["wins"] == 10
