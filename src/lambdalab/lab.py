@@ -155,23 +155,27 @@ _INF = float("inf")
 class _PositionTrie:
     """Events of one trace from index start on, indexed by address,
     supporting 'earliest remaining event at an address comparable to p'
-    in O(|p|)."""
+    in O(|p|). Events are taken from the trace only as far as a query
+    needs: the first one comparable to its address, or the end."""
 
-    __slots__ = ("root",)
+    __slots__ = ("root", "events", "taken")
 
     def __init__(self, events, start):
         self.root = _TrieNode()
-        for idx in range(start, len(events)):
-            node = self.root
+        self.events = events
+        self.taken = start
+
+    def _insert(self, idx, position):
+        node = self.root
+        node.submin = min(node.submin, idx)
+        for letter in position:
+            child = node.children.get(letter)
+            if child is None:
+                child = _TrieNode()
+                node.children[letter] = child
+            node = child
             node.submin = min(node.submin, idx)
-            for letter in events[idx].position:
-                child = node.children.get(letter)
-                if child is None:
-                    child = _TrieNode()
-                    node.children[letter] = child
-                node = child
-                node.submin = min(node.submin, idx)
-            node.queue.append(idx)
+        node.queue.append(idx)
 
     def first_comparable(self, position):
         """Smallest remaining index whose address is a prefix of
@@ -183,8 +187,21 @@ class _PositionTrie:
                 best = node.queue[0]
             node = node.children.get(letter)
             if node is None:
-                return best
-        return min(best, node.submin)
+                break
+        else:
+            best = min(best, node.submin)
+        # Every event not yet taken comes after every event taken, so
+        # the answer is among those taken unless none is comparable.
+        events = self.events
+        while best == _INF and self.taken < len(events):
+            idx = self.taken
+            self.taken += 1
+            address = events[idx].position
+            self._insert(idx, address)
+            n = min(len(address), len(position))
+            if address[:n] == position[:n]:
+                best = idx
+        return best
 
     def delete(self, idx, position):
         path = [self.root]

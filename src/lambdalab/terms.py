@@ -5,14 +5,17 @@ applications. Binding is by name; capture is avoided by renaming binders
 with a deterministic trailing-number freshening scheme, so two runs over
 the same inputs always pick the same names.
 
+Every node gets its set of free variables when it is made, from its
+children's, so free_vars walks nothing.
+
 Divergent terms routinely grow very deep before an evaluator's fuel runs
 out, and none of these helpers may crash on such terms. Equality, alpha
 equivalence, classification, printing and parsing use an explicit work
-stack. Substitution and free variables, the walks made once per
-contraction, recurse for the first _RECURSION_DEPTH levels, which is
-cheaper than a stack of frames, and hand the rest of a deeper subterm to
-an explicit-stack loop. So a call adds a bounded number of frames to the
-Python stack however deep its term is.
+stack. Substitution, the walk made once per contraction, recurses for
+the first _RECURSION_DEPTH levels, which is cheaper than a stack of
+frames, and hands the rest of a deeper subterm to an explicit-stack
+loop. So a call adds a bounded number of frames to the Python stack
+however deep its term is.
 """
 
 from __future__ import annotations
@@ -74,12 +77,20 @@ class Term:
         return print_term(self)
 
 
+# One free-variable set per variable name, shared by every Var of it.
+_VAR_FV: dict[str, frozenset[str]] = {}
+
+
 class Var(Term):
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "_hash", "_fv")
 
     def __init__(self, name: str):
         self.name = name
         self._hash = hash(("v", name))
+        fv = _VAR_FV.get(name)
+        if fv is None:
+            fv = _VAR_FV[name] = frozenset((name,))
+        self._fv = fv
 
 
 class Lam(Term):
@@ -89,7 +100,8 @@ class Lam(Term):
         self.param = param
         self.body = body
         self._hash = hash(("l", param, body._hash))
-        self._fv = None
+        fv = body._fv
+        self._fv = fv.difference((param,)) if param in fv else fv
 
 
 class App(Term):
@@ -99,83 +111,28 @@ class App(Term):
         self.operator = operator
         self.operand = operand
         self._hash = hash(("a", operator._hash, operand._hash))
-        self._fv = None
-
-
-# How many levels substitute and free_vars descend by plain recursion
-# before they hand the rest of a subterm to their explicit-stack loop.
-# free_vars runs inside substitute, so one call adds at most about twice
-# this many frames to the Python stack, well under half of the default
-# recursion limit of 1000.
-_RECURSION_DEPTH = 200
+        # Where a child's set is the answer it is shared, not copied.
+        a = operator._fv
+        b = operand._fv
+        self._fv = a if b <= a else b if a <= b else a | b
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """Free variable names of t. Cached on Lam/App nodes."""
-    if type(t) is Var:
-        return frozenset((t.name,))
-    fv = t._fv
-    return _fv_walk(t, _RECURSION_DEPTH) if fv is None else fv
-
-
-def _fv_walk(node, depth):
-    """Cache and return the set of node, a Lam or App without one, by
-    recursion for depth levels and then by _fv_loop."""
-    if not depth:
-        return _fv_loop(node)
-    depth -= 1
-    if type(node) is Lam:
-        b = node.body
-        if type(b) is not Var and b._fv is None:
-            _fv_walk(b, depth)
-    else:
-        m = node.operator
-        if type(m) is not Var and m._fv is None:
-            _fv_walk(m, depth)
-        n = node.operand
-        if type(n) is not Var and n._fv is None:
-            _fv_walk(n, depth)
-    return _fv_join(node)
-
-
-def _fv_loop(t):
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node._fv is not None:
-            continue
-        if type(node) is Lam:
-            kids = (node.body,)
-        else:
-            kids = (node.operator, node.operand)
-        pending = [k for k in kids if type(k) is not Var and k._fv is None]
-        if pending:
-            stack.append(node)
-            stack.extend(pending)
-            continue
-        _fv_join(node)
+    """Free variable names of t, computed when t was made."""
     return t._fv
 
 
-def _fv_join(node):
-    """Cache and return the set of node from its children's, which are
-    known. Where a child's set is the answer it is shared, not copied."""
-    if type(node) is Lam:
-        bfv = _fv_quick(node.body)
-        fv = bfv.difference((node.param,)) if node.param in bfv else bfv
-    else:
-        a = _fv_quick(node.operator)
-        b = _fv_quick(node.operand)
-        fv = a if b <= a else b if a <= b else a | b
-    node._fv = fv
-    return fv
+_DIGITS = "0123456789"
+# The trailing number of every name a fresh name was drawn over, 0 for
+# none.
+_NUMBER: dict[str, int] = {}
 
 
-def _fv_quick(node):
-    return frozenset((node.name,)) if type(node) is Var else node._fv
-
-
-_TRAILING_DIGITS = re.compile(r"[0-9]+$")
+def _number(name):
+    """Cache and return the trailing number of name."""
+    digits = name[len(name.rstrip(_DIGITS)):]
+    k = _NUMBER[name] = int(digits) if digits else 0
+    return k
 
 
 def fresh_var(used, base: str) -> str:
@@ -186,16 +143,41 @@ def fresh_var(used, base: str) -> str:
     (`used` plus `base` itself; names without one count as 0). Larger than
     every trailing number in scope, the result cannot collide.
     """
-    m = _TRAILING_DIGITS.search(base)
-    stem = base[: m.start()] if m else base
-    best = int(m.group()) if m else 0
-    for name in used:
-        m = _TRAILING_DIGITS.search(name)
-        if m:
-            k = int(m.group())
-            if k > best:
-                best = k
-    return f"{stem}{best + 1}"
+    return _fresh(base, used, (), base)
+
+
+def _fresh(base, names, more, v):
+    """fresh_var(names | more | {v}, base), without building the union.
+    It runs once per rename, so each set has its own loop: one loop over
+    chain(names, more, (base, v)) takes 1.7 times as long a call."""
+    known = _NUMBER
+    best = known.get(base)
+    if best is None:
+        best = _number(base)
+    k = known.get(v)
+    if k is None:
+        k = _number(v)
+    if k > best:
+        best = k
+    for name in names:
+        k = known.get(name)
+        if k is None:
+            k = _number(name)
+        if k > best:
+            best = k
+    for name in more:
+        k = known.get(name)
+        if k is None:
+            k = _number(name)
+        if k > best:
+            best = k
+    return f"{base.rstrip(_DIGITS)}{best + 1}"
+
+
+# How many levels substitute descends by plain recursion before it hands
+# the rest of a subterm to its explicit-stack loop: well under half of
+# the default recursion limit of 1000 frames.
+_RECURSION_DEPTH = 200
 
 
 def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
@@ -212,65 +194,56 @@ def substitute(operand: Term, var: str, body: Term, _alloc=None) -> Term:
     """
     if type(body) is Var:
         return operand if body.name == var else body
-    if var not in free_vars(body):
+    if var not in body._fv:
         return body
-    return _subst(body, var, operand, free_vars(operand), {}, _alloc,
+    return _subst(body, var, operand, operand._fv, {}, _alloc,
                   _RECURSION_DEPTH)
 
 
-def _charge(alloc):
-    """Spend one node of the allowance alloc, if there is one."""
-    if alloc is not None:
-        alloc[0] -= 1
-        if alloc[0] < 0:
-            raise ResourceLimitError("substitution allocation limit exceeded")
-
-
 def _subst(node, v, rand, fvr, memo, alloc, depth):
-    """[rand/v]node by recursion for depth levels, then by _subst_loop.
+    """[rand/v]node, for a Lam or App node with v free in it, by
+    recursion for depth levels, then by _subst_loop.
 
-    fvr is free_vars(rand). memo maps (id(node), v, id(rand)) to the
-    result for that node; both walks fill the same one, in the same
+    fvr is free_vars(rand). A child that lacks v or is a variable is
+    answered here, not by a call. memo maps (id(node), v, id(rand)) to
+    the result for that node; both walks fill the same one, in the same
     order, so they build, share and charge exactly the same nodes. Its
     values keep every rename copy, and so every id in its keys, alive.
     """
     if not depth:
         return _subst_loop(node, v, rand, fvr, memo, alloc)
-    ty = type(node)
-    if ty is Var:
-        return rand if node.name == v else node
-    fv = node._fv
-    if v not in (_fv_walk(node, _RECURSION_DEPTH) if fv is None else fv):
-        return node
     key = (id(node), v, id(rand))
     hit = memo.get(key)
     if hit is not None:
         return hit
     depth -= 1
-    if ty is Lam:
+    if type(node) is Lam:
         p = node.param
         b = node.body
         if p in fvr:
             # Renaming re-enters substitution, which keeps nested binder
-            # collisions capture-safe.
-            fresh = fresh_var(fvr | free_vars(b) | {v}, p)
-            b = _subst(b, p, Var(fresh), frozenset((fresh,)), memo, alloc,
-                       depth)
+            # collisions capture-safe. v stays free in the renamed body,
+            # and a body that is a variable is v, so p is not free in it.
+            fresh = _fresh(p, fvr, b._fv, v)
+            if p in b._fv:
+                r = Var(fresh)
+                b = _subst(b, p, r, r._fv, memo, alloc, depth)
             p = fresh
-        nb = _subst(b, v, rand, fvr, memo, alloc, depth)
-        if nb is node.body and p == node.param:
-            out = node
-        else:
-            out = Lam(p, nb)
-            _charge(alloc)
+        nb = (rand if type(b) is Var
+              else _subst(b, v, rand, fvr, memo, alloc, depth))
+        out = node if nb is node.body and p == node.param else Lam(p, nb)
     else:
-        nm = _subst(node.operator, v, rand, fvr, memo, alloc, depth)
-        nn = _subst(node.operand, v, rand, fvr, memo, alloc, depth)
-        if nm is node.operator and nn is node.operand:
-            out = node
-        else:
-            out = App(nm, nn)
-            _charge(alloc)
+        m = node.operator
+        n = node.operand
+        nm = (m if v not in m._fv else rand if type(m) is Var
+              else _subst(m, v, rand, fvr, memo, alloc, depth))
+        nn = (n if v not in n._fv else rand if type(n) is Var
+              else _subst(n, v, rand, fvr, memo, alloc, depth))
+        out = node if nm is m and nn is n else App(nm, nn)
+    if out is not node and alloc is not None:
+        alloc[0] -= 1
+        if alloc[0] < 0:
+            raise ResourceLimitError("substitution allocation limit exceeded")
     memo[key] = out
     return out
 
@@ -280,7 +253,10 @@ _S_GO, _S_LAM, _S_APP, _S_AGAIN = 0, 1, 2, 3
 
 
 def _subst_loop(node, v, rand, fvr, memo, alloc):
-    """[rand/v]node as _subst computes it, on an explicit stack."""
+    """[rand/v]node as _subst computes it, on an explicit stack.
+
+    _S_LAM and _S_APP carry each child's result, or None where it is
+    still to come off vals."""
     instr = [(_S_GO, node, v, rand, fvr)]
     vals = []
     while instr:
@@ -288,59 +264,61 @@ def _subst_loop(node, v, rand, fvr, memo, alloc):
         op = f[0]
         if op == _S_GO:
             _, node, v, rand, fvr = f
-            ty = type(node)
-            if ty is Var:
-                vals.append(rand if node.name == v else node)
-                continue
-            if v not in free_vars(node):
-                vals.append(node)
-                continue
             key = (id(node), v, id(rand))
             hit = memo.get(key)
             if hit is not None:
                 vals.append(hit)
-                continue
-            if ty is Lam:
+            elif type(node) is Lam:
                 p = node.param
+                b = node.body
                 if p in fvr:
-                    fresh = fresh_var(fvr | free_vars(node.body) | {v}, p)
-                    instr.append((_S_LAM, node, fresh, key))
-                    instr.append((_S_AGAIN, v, rand, fvr))
-                    instr.append(
-                        (_S_GO, node.body, p, Var(fresh), frozenset((fresh,)))
-                    )
+                    fresh = _fresh(p, fvr, b._fv, v)
+                    if p in b._fv:
+                        r = Var(fresh)
+                        instr.append((_S_LAM, node, fresh, key, None))
+                        instr.append((_S_AGAIN, v, rand, fvr))
+                        instr.append((_S_GO, b, p, r, r._fv))
+                        continue
+                    p = fresh
+                if type(b) is Var:
+                    instr.append((_S_LAM, node, p, key, rand))
                 else:
-                    instr.append((_S_LAM, node, p, key))
-                    instr.append((_S_GO, node.body, v, rand, fvr))
+                    instr.append((_S_LAM, node, p, key, None))
+                    instr.append((_S_GO, b, v, rand, fvr))
             else:
-                instr.append((_S_APP, node, key))
-                instr.append((_S_GO, node.operand, v, rand, fvr))
-                instr.append((_S_GO, node.operator, v, rand, fvr))
-        elif op == _S_LAM:
-            _, node, p, key = f
-            nb = vals.pop()
-            if nb is node.body and p == node.param:
-                out = node
-            else:
-                out = Lam(p, nb)
-                _charge(alloc)
-            memo[key] = out
-            vals.append(out)
-        elif op == _S_APP:
-            _, node, key = f
-            nn = vals.pop()
-            nm = vals.pop()
-            if nm is node.operator and nn is node.operand:
-                out = node
-            else:
-                out = App(nm, nn)
-                _charge(alloc)
-            memo[key] = out
-            vals.append(out)
-        else:  # _S_AGAIN: feed a finished rename back through [rand/v]
+                m = node.operator
+                n = node.operand
+                nm = m if v not in m._fv else rand if type(m) is Var else None
+                nn = n if v not in n._fv else rand if type(n) is Var else None
+                instr.append((_S_APP, node, key, nm, nn))
+                if nn is None:
+                    instr.append((_S_GO, n, v, rand, fvr))
+                if nm is None:
+                    instr.append((_S_GO, m, v, rand, fvr))
+            continue
+        if op == _S_AGAIN:  # feed a finished rename back through [rand/v]
             _, v, rand, fvr = f
-            t1 = vals.pop()
-            instr.append((_S_GO, t1, v, rand, fvr))
+            instr.append((_S_GO, vals.pop(), v, rand, fvr))
+            continue
+        if op == _S_LAM:
+            _, node, p, key, nb = f
+            if nb is None:
+                nb = vals.pop()
+            out = node if nb is node.body and p == node.param else Lam(p, nb)
+        else:
+            _, node, key, nm, nn = f
+            if nn is None:
+                nn = vals.pop()
+            if nm is None:
+                nm = vals.pop()
+            out = (node if nm is node.operator and nn is node.operand
+                   else App(nm, nn))
+        if out is not node and alloc is not None:
+            alloc[0] -= 1
+            if alloc[0] < 0:
+                raise ResourceLimitError("substitution allocation limit exceeded")
+        memo[key] = out
+        vals.append(out)
     return vals[0]
 
 

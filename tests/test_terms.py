@@ -2,6 +2,7 @@
 
 import contextlib
 import inspect
+import re
 import sys
 
 import hypothesis.strategies as st
@@ -238,10 +239,11 @@ def test_classify_whnf_matches_oracle(t):
     )
 
 
-# substitute and free_vars recurse for terms_module._RECURSION_DEPTH
-# levels and walk the rest of a subterm on an explicit stack. At 0 every
-# walk is the stack loop; at 2 hypothesis terms cross from one walk to
-# the other, renames included.
+# substitute recurses for terms_module._RECURSION_DEPTH levels and walks
+# the rest of a subterm on an explicit stack; free_vars walks nothing, as
+# every node gets its set when it is made. At 0 every walk is the stack
+# loop; at 2 hypothesis terms cross from one walk to the other, renames
+# included.
 DEFAULT_DEPTH = terms_module._RECURSION_DEPTH
 HANDOFF_DEPTHS = pytest.mark.parametrize("depth", [DEFAULT_DEPTH, 0, 2],
                                          ids=["default", "0", "2"])
@@ -277,8 +279,7 @@ def test_substitute_free_vars_bound(depth, x, body, operand):
 
 def replay(call, depth):
     """One recorded engine call of substitute at depth: its result, the
-    nodes it allocated, and the free variables of the result, walked at
-    the same depth."""
+    nodes it allocated, and the free variables of the result."""
     operand, var, body = call
     with at_depth(depth):
         alloc = [10**9]
@@ -362,9 +363,9 @@ def deep_rename_at_the_hand_off():
 @pytest.mark.parametrize("build", [deep_spine, deep_binders,
                                    deep_rename_at_the_hand_off])
 def test_deep_terms_hand_off_to_the_stack_loop(build):
-    # [y/x] renames every binder of the last two. The two walks that
-    # nest, substitute and the free_vars inside it, must stay well under
-    # half of the default limit of 1000 frames.
+    # [y/x] renames every binder of the last two. substitute, the one
+    # walk that recurses, must stay well under half of the default limit
+    # of 1000 frames.
     here = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(here + 450)
@@ -378,6 +379,90 @@ def test_deep_terms_hand_off_to_the_stack_loop(build):
         assert free_vars(want) == fv
     assert got == want
     assert fv == free_vars(build()) - {"x"} | {"y"}
+
+
+def db_free(db):
+    """The free names of a de Bruijn tree made by oracle.to_db."""
+    out, stack = set(), [db]
+    while stack:
+        t = stack.pop()
+        if t[0] == "f":
+            out.add(t[1])
+        elif t[0] == "l":
+            stack.append(t[1])
+        elif t[0] == "a":
+            stack += [t[1], t[2]]
+    return frozenset(out)
+
+
+def nodes(t):
+    """Every node of t, each shared one once."""
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if type(node) is Lam:
+                stack.append(node.body)
+            elif type(node) is App:
+                stack += [node.operator, node.operand]
+    return list(seen.values())
+
+
+@given(terms())
+def test_free_vars_matches_the_oracle(t):
+    for node in nodes(t):
+        assert free_vars(node) == db_free(oracle.to_db(node))
+
+
+@HANDOFF_DEPTHS
+@given(st.sampled_from(NAMES), terms(), terms())
+def test_free_vars_of_every_substitute_result_matches_the_oracle(
+        depth, x, body, operand):
+    # Each node substitute builds, rename copies included, gets its set
+    # from its children when it is made.
+    with at_depth(depth):
+        got = substitute(operand, x, body)
+    for node in nodes(got):
+        assert free_vars(node) == db_free(oracle.to_db(node))
+
+
+@pytest.mark.parametrize("build", [deep_spine, deep_binders,
+                                   deep_rename_at_the_hand_off])
+def test_free_vars_of_deep_terms_matches_the_oracle(build):
+    term = build()
+    for t in (term, substitute(Var("y"), "x", term)):
+        assert free_vars(t) == db_free(oracle.to_db(t))
+
+
+TRAILING_NUMBER = re.compile(r"[0-9]+$")
+
+
+def fresh_by_regex(used, base):
+    """fresh_var with each trailing number read by a regular expression."""
+    m = TRAILING_NUMBER.search(base)
+    stem = base[:m.start()] if m else base
+    best = int(m.group()) if m else 0
+    for name in used:
+        m = TRAILING_NUMBER.search(name)
+        if m:
+            best = max(best, int(m.group()))
+    return f"{stem}{best + 1}"
+
+
+NUMBERED_NAMES = st.builds(
+    str.__add__, st.sampled_from(["x", "y", "v", "q'", "_", "x_1a"]),
+    st.sampled_from(["", "0", "007", "1", "10", "99"])
+    | st.integers(0, 10**12).map(str))
+
+
+@given(st.frozensets(NUMBERED_NAMES, max_size=6),
+       st.frozensets(NUMBERED_NAMES, max_size=6), NUMBERED_NAMES,
+       NUMBERED_NAMES)
+def test_the_rename_rule_is_fresh_var_over_the_union(a, b, v, p):
+    got = terms_module._fresh(p, a, b, v)
+    assert got == fresh_var(a | b | {v}, p) == fresh_by_regex(a | b | {v}, p)
+    assert got not in a | b | {v}
 
 
 @given(terms(), terms(), st.sampled_from(NAMES))

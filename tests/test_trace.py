@@ -249,3 +249,84 @@ def test_compare_at_the_default_fuel_stays_small():
         tracemalloc.stop()
     assert verdict.kind == BOTH_EXHAUSTED_EQUAL_PREFIX
     assert peak < 50 * 2**20
+
+
+def _comparable(p, q):
+    n = min(len(p), len(q))
+    return p[:n] == q[:n]
+
+
+def _greedy(ta, tb, skip_unmatched):
+    """_match by plain scans over tuples: the first pairwise difference,
+    then each event of ta against the earliest remaining comparable
+    event of tb."""
+    ta, tb = tuple(ta), tuple(tb)
+    i = 0
+    while i < min(len(ta), len(tb)) and lab._events_equal(ta[i], tb[i]):
+        i += 1
+    if i == len(ta) == len(tb):
+        return None, None
+    left = list(tb[i:])
+    for e in ta[i:]:
+        k = next((k for k, f in enumerate(left)
+                  if _comparable(e.position, f.position)), None)
+        if k is None:
+            if skip_unmatched:
+                continue
+            return i, (e, None)
+        if not lab._events_equal(e, left[k]):
+            return i, (e, left[k])
+        del left[k]
+    return i, None
+
+
+def test_the_matcher_agrees_with_a_linear_scan():
+    # Readback rows against their fused hybrids and against other rows,
+    # converged and exhausted, 348 of them past a skip at fuel 120: the
+    # trie takes tb's events only as far as each query needs, and must
+    # pick the events a full scan picks.
+    rows = [r.spec for r in catalogue() if isinstance(r.spec, ReadbackSpec)]
+    terms = list(dict.fromkeys(term for _, term in RUNS))
+    terms += [t for _, t in paper_corpus()]
+    seen = 0
+    for k, row in enumerate(rows):
+        for other in (fuse(row).hybrid, rows[(k + 5) % len(rows)]):
+            for term in terms:
+                oa, ob = evaluate(row, term, 120), evaluate(other, term, 120)
+                for skip_unmatched in (False, True):
+                    got = lab._match(oa.trace, ob.trace, skip_unmatched)
+                    want = _greedy(oa.trace, ob.trace, skip_unmatched)
+                    assert got[0] == want[0]
+                    assert (got[1] is None) == (want[1] is None)
+                    if got[1] is not None:
+                        assert ([lab.event_json(e) for e in got[1]]
+                                == [lab.event_json(e) for e in want[1]])
+                        seen += 1
+    assert seen > 400
+
+
+def test_a_compare_that_parts_early_takes_few_events(monkeypatch):
+    # Both runs skip periods thousands of events long at the default
+    # fuel, but their traces part at step 3: the trie takes no more of
+    # the second trace than the first comparable event needs.
+    taken = []
+    insert = lab._PositionTrie._insert
+
+    def spy(trie, idx, position):
+        taken.append(idx)
+        insert(trie, idx, position)
+
+    monkeypatch.setattr(lab._PositionTrie, "_insert", spy)
+    term = dict(paper_corpus())["eta-fixpoint"]
+    verdict = compare("I(RE).III", "I(RE).ISI", term)
+    assert verdict.kind == DIFFER
+    i, pair = verdict.witness
+    assert i == 3
+    assert [lab.event_json(e) for e in pair] == [
+        {"i": 3, "path": "",
+         "redex": "(\\w.w) ((\\x.(\\w.w) (x x)) \\x.(\\w.w) (x x))",
+         "contractum": "(\\x.(\\w.w) (x x)) \\x.(\\w.w) (x x)"},
+        {"i": 3, "path": "A",
+         "redex": "(\\x.(\\w.w) (x x)) \\x.(\\w.w) (x x)",
+         "contractum": "(\\w.w) ((\\x.(\\w.w) (x x)) \\x.(\\w.w) (x x))"}]
+    assert taken == [3]
