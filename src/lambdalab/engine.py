@@ -18,7 +18,10 @@ of contraction. Operator premises extend the address with F, operand
 premises with A, abstraction bodies with B; the contractum stays at the
 redex's own address. That makes a trace replayable: rewriting each
 recorded redex in place, in order, reproduces the run (see
-reconstruct_sequence).
+reconstruct_sequence). Addresses ride on the frames as cons cells and
+are built only when a run records its trace or its derivation trees; no
+other run reads one, so an untraced run's frames carry None and its
+walk allocates no address cell.
 
 A derivation tree is not carried in the frames: a tree run observes the
 judgments the walk makes. Each EV frame opens a judgment, whose node
@@ -341,7 +344,9 @@ class _OutOfFuel(Exception):
 # Frame opcodes. EV walks a term under a layer; AP1 dispatches on the
 # evaluated operator; CON2 contracts once the operand premise is done;
 # NEU1/NEU2 finish a neutral; THEN walks the value just produced again
-# under a second layer, which is how a readback layer follows eval.
+# under a second layer, which is how a readback layer follows eval, and
+# STAGE, the root THEN beneath a readback run's eval stage, also records
+# that stage's value.
 # CLOSE, in derivation-tree runs only, sits beneath the frames of one
 # judgment and gives the innermost open node the value they leave. It
 # carries nothing, but each judgment gets a tuple of its own, so that the
@@ -354,6 +359,7 @@ _NEU1 = 4
 _NEU2 = 5
 _CLOSE = 6
 _THEN = 7
+_STAGE = 8
 
 
 class _Machine:
@@ -416,6 +422,9 @@ class _Machine:
         opened = self.opened
         max_frames = self.max_frames
         fixed = self._fixed
+        # Only a recording run reads an address, so only it builds them;
+        # in other runs every path is None.
+        addressed = self.record
         # The deepest stack an EV frame has seen since the innermost open
         # operand walk began; never above max_frames.
         peak = 0
@@ -444,14 +453,16 @@ class _Machine:
                         values.append(t)
                     else:
                         frames.append((_MKLAM, t))
-                        path = ("B", path)
+                        if addressed:
+                            path = ("B", path)
                         then = layer.la_then
                         if then is not None:
                             frames.append((_THEN, then, path))
                         frames.append((_EV, la, t.body, path))
                 else:
                     frames.append((_AP1, layer, t, path))
-                    frames.append((_EV, layer.op1, t.operator, ("F", path)))
+                    frames.append((_EV, layer.op1, t.operator,
+                                   ("F", path) if addressed else None))
             elif op == _MKLAM:
                 src = frame[1]
                 body = values.pop()
@@ -478,14 +489,16 @@ class _Machine:
                     frames.append((_CON2, layer, mprime, path, operand,
                                    peak, base))
                     peak = base
-                    frames.append((_EV, ar1, operand, ("A", path)))
+                    frames.append((_EV, ar1, operand,
+                                   ("A", path) if addressed else None))
                 else:
                     op2 = layer.op2
                     if op2 is None:
                         peak = self._neu_ar2(layer, appnode, mprime, path, peak)
                     else:
                         frames.append((_NEU1, layer, appnode, path))
-                        frames.append((_EV, op2, mprime, ("F", path)))
+                        frames.append((_EV, op2, mprime,
+                                       ("F", path) if addressed else None))
             elif op == _CON2:
                 _, layer, lam, path, operand, outer, base = frame
                 nprime = values.pop()
@@ -513,11 +526,13 @@ class _Machine:
                 values.append(out)
             elif op == _CLOSE:
                 opened.pop().output = values[-1]
-            else:  # _THEN
+            elif op == _THEN:
                 _, layer, path = frame
-                if path is None:  # the root THEN: the eval stage is done
-                    self.stage = (values[-1], self.fuel)
                 frames.append((_EV, layer, values.pop(), path))
+            else:  # _STAGE: the eval stage is done
+                value = values.pop()
+                self.stage = (value, self.fuel)
+                frames.append((_EV, frame[1], value, None))
         return values.pop()
 
     def _contract(self, layer, lam, operand, path, peak):
@@ -650,7 +665,8 @@ class _Machine:
                 return max(peak, base + depth)
             walker = ar2
         frames.append((_NEU2, appnode, mpp, walker, peak, base))
-        path = ("A", path)
+        if self.record:
+            path = ("A", path)
         if then is not None:
             frames.append((_THEN, then, path))
         frames.append((_EV, ar2, operand, path))
@@ -701,7 +717,7 @@ def _same_dag(a, b) -> bool:
 def _run_machine(layers, term, fuel, record_trace, max_nodes, max_frames,
                  trees=False):
     """Shared driver over a compiled spec. A readback encoding runs in
-    one walk: its readback layer waits in the root THEN frame under the
+    one walk: its readback layer waits in the root STAGE frame under the
     eval stage."""
     if fuel < 0:
         raise EngineError("fuel budget must be nonnegative")
@@ -709,7 +725,7 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, max_frames,
     frames = machine.frames
     root, readback = layers
     if readback is not None:
-        frames.append((_THEN, readback, None))
+        frames.append((_STAGE, readback))
     frames.append((_EV, root, term, None))
     exhausted = False
     result = None

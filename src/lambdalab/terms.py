@@ -16,6 +16,13 @@ the first _RECURSION_DEPTH levels, which is cheaper than a stack of
 frames, and hands the rest of a deeper subterm to an explicit-stack
 loop. So a call adds a bounded number of frames to the Python stack
 however deep its term is.
+
+A substitution visits a shared subterm once per binding: each binding
+[rand/v] of a call, the call's own and each binder rename's, keeps a
+memo table keyed by node identity alone, so a DAG's sharing survives
+into the result. Every table lives until the call returns, since its
+keys are the ids of nodes that a dropped rename table could let die
+(see _subst).
 """
 
 from __future__ import annotations
@@ -205,15 +212,23 @@ def _subst(node, v, rand, fvr, memo, alloc, depth):
     recursion for depth levels, then by _subst_loop.
 
     fvr is free_vars(rand). A child that lacks v or is a variable is
-    answered here, not by a call. memo maps (id(node), v, id(rand)) to
-    the result for that node; both walks fill the same one, in the same
-    order, so they build, share and charge exactly the same nodes. Its
-    values keep every rename copy, and so every id in its keys, alive.
+    answered here, not by a call. memo is the table of the binding
+    [rand/v], from id(node) to the result for node; a rename [r/p], r a
+    fresh variable, is a binding of its own with a fresh table. Both
+    walks fill the same tables in the same order, so they build, share
+    and charge exactly the same nodes.
+
+    Keys are ids, so every node a table names must outlive the table. A
+    rename table holds the renamed copy, whose nodes become keys of the
+    outer table as the walk goes on into it; were the rename table
+    dropped, the copy could die and a node built later in the call take
+    its id and hit a stale entry. So each rename table is pinned in the
+    table that made it, under its own id, until the call returns; no
+    live node shares a live table's id, so a pin is never a hit.
     """
     if not depth:
         return _subst_loop(node, v, rand, fvr, memo, alloc)
-    key = (id(node), v, id(rand))
-    hit = memo.get(key)
+    hit = memo.get(id(node))
     if hit is not None:
         return hit
     depth -= 1
@@ -227,7 +242,9 @@ def _subst(node, v, rand, fvr, memo, alloc, depth):
             fresh = _fresh(p, fvr, b._fv, v)
             if p in b._fv:
                 r = Var(fresh)
-                b = _subst(b, p, r, r._fv, memo, alloc, depth)
+                renamed = {}
+                memo[id(renamed)] = renamed
+                b = _subst(b, p, r, r._fv, renamed, alloc, depth)
             p = fresh
         nb = (rand if type(b) is Var
               else _subst(b, v, rand, fvr, memo, alloc, depth))
@@ -244,7 +261,7 @@ def _subst(node, v, rand, fvr, memo, alloc, depth):
         alloc[0] -= 1
         if alloc[0] < 0:
             raise ResourceLimitError("substitution allocation limit exceeded")
-    memo[key] = out
+    memo[id(node)] = out
     return out
 
 
@@ -255,17 +272,17 @@ _S_GO, _S_LAM, _S_APP, _S_AGAIN = 0, 1, 2, 3
 def _subst_loop(node, v, rand, fvr, memo, alloc):
     """[rand/v]node as _subst computes it, on an explicit stack.
 
-    _S_LAM and _S_APP carry each child's result, or None where it is
-    still to come off vals."""
-    instr = [(_S_GO, node, v, rand, fvr)]
+    Each _S_GO carries its binding's memo table. _S_LAM and _S_APP carry
+    the table their result goes in and each child's result, or None
+    where it is still to come off vals."""
+    instr = [(_S_GO, node, v, rand, fvr, memo)]
     vals = []
     while instr:
         f = instr.pop()
         op = f[0]
         if op == _S_GO:
-            _, node, v, rand, fvr = f
-            key = (id(node), v, id(rand))
-            hit = memo.get(key)
+            _, node, v, rand, fvr, memo = f
+            hit = memo.get(id(node))
             if hit is not None:
                 vals.append(hit)
             elif type(node) is Lam:
@@ -275,38 +292,40 @@ def _subst_loop(node, v, rand, fvr, memo, alloc):
                     fresh = _fresh(p, fvr, b._fv, v)
                     if p in b._fv:
                         r = Var(fresh)
-                        instr.append((_S_LAM, node, fresh, key, None))
-                        instr.append((_S_AGAIN, v, rand, fvr))
-                        instr.append((_S_GO, b, p, r, r._fv))
+                        renamed = {}
+                        memo[id(renamed)] = renamed
+                        instr.append((_S_LAM, node, fresh, memo, None))
+                        instr.append((_S_AGAIN, v, rand, fvr, memo))
+                        instr.append((_S_GO, b, p, r, r._fv, renamed))
                         continue
                     p = fresh
                 if type(b) is Var:
-                    instr.append((_S_LAM, node, p, key, rand))
+                    instr.append((_S_LAM, node, p, memo, rand))
                 else:
-                    instr.append((_S_LAM, node, p, key, None))
-                    instr.append((_S_GO, b, v, rand, fvr))
+                    instr.append((_S_LAM, node, p, memo, None))
+                    instr.append((_S_GO, b, v, rand, fvr, memo))
             else:
                 m = node.operator
                 n = node.operand
                 nm = m if v not in m._fv else rand if type(m) is Var else None
                 nn = n if v not in n._fv else rand if type(n) is Var else None
-                instr.append((_S_APP, node, key, nm, nn))
+                instr.append((_S_APP, node, memo, nm, nn))
                 if nn is None:
-                    instr.append((_S_GO, n, v, rand, fvr))
+                    instr.append((_S_GO, n, v, rand, fvr, memo))
                 if nm is None:
-                    instr.append((_S_GO, m, v, rand, fvr))
+                    instr.append((_S_GO, m, v, rand, fvr, memo))
             continue
         if op == _S_AGAIN:  # feed a finished rename back through [rand/v]
-            _, v, rand, fvr = f
-            instr.append((_S_GO, vals.pop(), v, rand, fvr))
+            _, v, rand, fvr, memo = f
+            instr.append((_S_GO, vals.pop(), v, rand, fvr, memo))
             continue
         if op == _S_LAM:
-            _, node, p, key, nb = f
+            _, node, p, memo, nb = f
             if nb is None:
                 nb = vals.pop()
             out = node if nb is node.body and p == node.param else Lam(p, nb)
         else:
-            _, node, key, nm, nn = f
+            _, node, memo, nm, nn = f
             if nn is None:
                 nn = vals.pop()
             if nm is None:
@@ -317,7 +336,7 @@ def _subst_loop(node, v, rand, fvr, memo, alloc):
             alloc[0] -= 1
             if alloc[0] < 0:
                 raise ResourceLimitError("substitution allocation limit exceeded")
-        memo[key] = out
+        memo[id(node)] = out
         vals.append(out)
     return vals[0]
 

@@ -397,3 +397,34 @@ def test_operand_memo_keeps_the_frame_limit_exact(case):
         evaluate(row, term, record_trace=False, max_frames=edge - 1)
     outcome = evaluate(row, term, record_trace=False, max_frames=edge)
     assert outcome.status == CONVERGED
+
+
+# Only a recording run builds addresses, so the untraced walk pushes no
+# address cells; every outcome field but the trace must not notice.
+_AGREEMENT_TERMS = ([t for _, t in paper_corpus()]
+                    + [factorial_term(program, n)
+                       for program in ("bn", "bv", "ho") for n in range(3)])
+
+
+def _untraced_view(outcome):
+    if outcome is None:
+        return None
+    return (outcome.status, outcome.result, outcome.fuel_used,
+            _untraced_view(outcome.stage))
+
+
+@pytest.mark.parametrize("row", catalogue(), ids=lambda r: print_spec(r.spec))
+def test_traced_and_untraced_runs_agree(row):
+    for term in _AGREEMENT_TERMS:
+        traced = evaluate(row.spec, term, 3000)
+        untraced = evaluate(row.spec, term, 3000, record_trace=False)
+        assert untraced.trace is None
+        assert _untraced_view(traced) == _untraced_view(untraced)
+
+
+@pytest.mark.parametrize("traced", (True, False), ids=("traced", "untraced"))
+def test_size_capped_run_hits_max_nodes_either_way(traced, corpus_1337):
+    with pytest.raises(ResourceLimitError,
+                       match="substitution allocation limit exceeded"):
+        evaluate("SSI", corpus_1337[527], 20_000, record_trace=traced,
+                 max_nodes=250_000)

@@ -381,6 +381,39 @@ def test_deep_terms_hand_off_to_the_stack_loop(build):
     assert fv == free_vars(build()) - {"x"} | {"y"}
 
 
+def sibling_renames(count=60):
+    """[p/x] over count sibling binders \\p, each over one shared DAG
+    and a part of its own, all holding x and p: every binder is renamed,
+    and each renamed copy is garbage once its sibling is done, unless
+    the call keeps its rename table."""
+    x, p = Var("x"), Var("p")
+    leaf = App(x, p)
+    shared = App(leaf, App(leaf, leaf))
+    spine = None
+    for i in range(count):
+        own = App(p, x)
+        for _ in range(i % 5):
+            own = App(own, Lam("z", App(x, App(Var("z"), p))))
+        sibling = Lam("p", App(shared, own))
+        spine = sibling if spine is None else App(spine, sibling)
+    return p, "x", spine
+
+
+@HANDOFF_DEPTHS
+def test_rename_tables_live_for_the_whole_call(depth):
+    # Once a renamed copy dies, a node built later in the call can take
+    # its id; a table of [p/x] still holding that id would hand back the
+    # dead copy's result for an unrelated node.
+    call = sibling_renames()
+    operand, var, body = call
+    out, spent, _ = replay(call, depth)
+    lam = oracle.to_db(Lam(var, body))
+    assert oracle.to_db(out) == oracle.beta(lam[1], oracle.to_db(operand))
+    slow, spent_slow, _ = replay(call, 0)
+    assert spent == spent_slow
+    assert engine._same_dag(out, slow)
+
+
 def db_free(db):
     """The free names of a de Bruijn tree made by oracle.to_db."""
     out, stack = set(), [db]
