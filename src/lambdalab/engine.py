@@ -41,7 +41,7 @@ every node it builds is new or a proper subterm of its input; so the
 walk spent no fuel, recorded no event and allocated nothing, and a
 repeat would do the same. The one way such a walk can still stop a run
 is the frame limit, so each entry keeps the deepest stack its walk
-reached, and a walk that would pass max_frames is made for real.
+reached, and a walk that would pass the frame limit is made for real.
 Derivation-tree runs never use the memo, and neither does a readback
 (RE) operand slot, which walks its operand twice.
 
@@ -69,11 +69,16 @@ pending anchor moves. Once the two occurrences match, the period
 between them is exact: its fuel, its allocations, its growth of the
 stack, the path it adds to every address and its events repeat
 unchanged. The machine then accounts for all the whole periods that
-fuel, max_nodes and the frame limit (against the run's high-water
-depth, memo walks included) all leave room for, but one: it takes their
-fuel and allocations and lowers the frame limit by their growth. The
-rest runs for real, so which guard stops the run, and where, is what it
-was. A run that grows instead of repeating is not cut short.
+fuel, max_nodes and the frame limit all leave room for, but one: it
+takes their fuel and allocations and lowers the frame limit by their
+growth. The rest runs for real, so which guard stops the run, and
+where, is what it was. The frame limit's room is measured from the
+running peak alone. The repeat never closes, so no frame on the stack
+when it opens ever pops again, and no peak those frames keep for the
+operand walks around them can become the running peak again. The
+lowered limit stays at least one period above the running peak, and
+that is all later checks and memo hits compare it with. A run that
+grows instead of repeating is not cut short.
 
 The trace records a skip once, as the period's own events and the
 record (start, period length, count, head address, step), and builds
@@ -116,7 +121,8 @@ FUEL_EXHAUSTED = "fuel-exhausted"
 
 DEFAULT_FUEL = 100000
 DEFAULT_MAX_NODES = 1_000_000
-DEFAULT_MAX_FRAMES = 2_000_000
+# The machine's frame limit, read when a run starts.
+MAX_FRAMES = 2_000_000
 
 
 class EngineError(ValueError):
@@ -363,13 +369,13 @@ _STAGE = 8
 
 
 class _Machine:
-    def __init__(self, fuel, record_trace, max_nodes, max_frames, trees=False):
+    def __init__(self, fuel, record_trace, max_nodes, trees=False):
         self.fuel = fuel
         self.record = record_trace or trees
         self.trees = trees
         self.events = [] if self.record else None
         self.alloc = [max_nodes]
-        self.max_frames = max_frames
+        self.max_frames = MAX_FRAMES
         self.frames = []
         self.values = []
         # In a tree run, the derivation nodes of the judgments still
@@ -486,8 +492,7 @@ class _Machine:
                             max_frames = self._contract(
                                 layer, mprime, operand, path, peak)
                             continue
-                    frames.append((_CON2, layer, mprime, path, operand,
-                                   peak, base))
+                    frames.append((_CON2, layer, mprime, path, operand, peak))
                     peak = base
                     frames.append((_EV, ar1, operand,
                                    ("A", path) if addressed else None))
@@ -500,10 +505,11 @@ class _Machine:
                         frames.append((_EV, op2, mprime,
                                        ("F", path) if addressed else None))
             elif op == _CON2:
-                _, layer, lam, path, operand, outer, base = frame
+                _, layer, lam, path, operand, outer = frame
                 nprime = values.pop()
                 if nprime is operand and not trees:
-                    fixed[id(operand)] = (operand, layer.ar1, peak - base)
+                    fixed[id(operand)] = (operand, layer.ar1,
+                                          peak - len(frames))
                 if outer > peak:
                     peak = outer
                 max_frames = self._contract(layer, lam, nprime, path, peak)
@@ -512,13 +518,14 @@ class _Machine:
                 mpp = values.pop()
                 peak = self._neu_ar2(layer, appnode, mpp, path, peak)
             elif op == _NEU2:
-                _, appnode, mpp, walker, outer, base = frame
+                _, appnode, mpp, walker, outer = frame
                 npp = values.pop()
                 operand = appnode.operand
                 if npp is operand:
                     out = appnode if mpp is appnode.operator else App(mpp, npp)
                     if walker is not None:
-                        fixed[id(operand)] = (operand, walker, peak - base)
+                        fixed[id(operand)] = (operand, walker,
+                                              peak - len(frames))
                 else:
                     out = App(mpp, npp)
                 if outer > peak:
@@ -586,7 +593,8 @@ class _Machine:
         repeats the period between the two for as long as it lasts.
         Account for all its whole periods but the last, as if they had
         run, and leave the rest to the machine. peak is the running
-        peak of the innermost open operand walk."""
+        peak of the innermost open operand walk, the only peak a later
+        step reads (see the module docstring)."""
         depth0, _, _, _, fuel0, alloc0, count0, path0 = anchor
         self.anchor = self.span = None
         frames = self.frames
@@ -597,17 +605,7 @@ class _Machine:
         if grown:
             periods = min(periods, self.alloc[0] // grown)
         if rise:
-            # The run's high-water depth: the running peak and the peaks
-            # the open operand walks keep for the walks around them.
-            high = peak
-            for f in frames:
-                op = f[0]
-                if op == _CON2:
-                    if f[5] > high:
-                        high = f[5]
-                elif op == _NEU2 and f[4] > high:
-                    high = f[4]
-            periods = min(periods, (self.max_frames - high) // rise)
+            periods = min(periods, (self.max_frames - peak) // rise)
         k = int(periods) - 1
         if k < 1:
             return
@@ -664,7 +662,7 @@ class _Machine:
                 self.values.append(out)
                 return max(peak, base + depth)
             walker = ar2
-        frames.append((_NEU2, appnode, mpp, walker, peak, base))
+        frames.append((_NEU2, appnode, mpp, walker, peak))
         if self.record:
             path = ("A", path)
         if then is not None:
@@ -714,14 +712,13 @@ def _same_dag(a, b) -> bool:
     return True
 
 
-def _run_machine(layers, term, fuel, record_trace, max_nodes, max_frames,
-                 trees=False):
+def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     """Shared driver over a compiled spec. A readback encoding runs in
     one walk: its readback layer waits in the root STAGE frame under the
     eval stage."""
     if fuel < 0:
         raise EngineError("fuel budget must be nonnegative")
-    machine = _Machine(fuel, record_trace, max_nodes, max_frames, trees)
+    machine = _Machine(fuel, record_trace, max_nodes, trees)
     frames = machine.frames
     root, readback = layers
     if readback is not None:
@@ -759,8 +756,7 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, max_frames,
 
 
 def evaluate(spec, term, fuel=DEFAULT_FUEL, *, record_trace=True,
-             max_nodes=DEFAULT_MAX_NODES,
-             max_frames=DEFAULT_MAX_FRAMES) -> Outcome:
+             max_nodes=DEFAULT_MAX_NODES) -> Outcome:
     """Run a strategy on a term under a fuel budget.
 
     spec and term may be given as text. Every beta contraction consumes
@@ -773,18 +769,17 @@ def evaluate(spec, term, fuel=DEFAULT_FUEL, *, record_trace=True,
     included, is the one the full walk gives.
     """
     outcome, _ = _run_machine(_compile(spec), _coerce_term(term), fuel,
-                              record_trace, max_nodes, max_frames)
+                              record_trace, max_nodes)
     return outcome
 
 
 def derivation_forest(spec, term, fuel=DEFAULT_FUEL, *,
-                      max_nodes=DEFAULT_MAX_NODES,
-                      max_frames=DEFAULT_MAX_FRAMES) -> tuple[DerivationNode, ...]:
+                      max_nodes=DEFAULT_MAX_NODES) -> tuple[DerivationNode, ...]:
     """Derivation trees for any strategy: one tree for an eval-apply
     evaluator, the eval tree stacked under the readback tree for a
     staged one."""
     _, roots = _run_machine(_compile(spec), _coerce_term(term), fuel, True,
-                            max_nodes, max_frames, trees=True)
+                            max_nodes, trees=True)
     return roots
 
 

@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, field
 from .engine import (
     CONVERGED,
     DEFAULT_FUEL,
-    DEFAULT_MAX_FRAMES,
     DEFAULT_MAX_NODES,
     Outcome,
     Trace,
@@ -319,8 +318,7 @@ def _compare_outcomes(oa: Outcome, ob: Outcome) -> CompareVerdict:
 
 
 def compare(a, b, term, fuel=DEFAULT_FUEL, *,
-            max_nodes=DEFAULT_MAX_NODES,
-            max_frames=DEFAULT_MAX_FRAMES) -> CompareVerdict:
+            max_nodes=DEFAULT_MAX_NODES) -> CompareVerdict:
     """Grade how similarly two strategies run one term.
 
     one-step-equal: the traces agree contraction by contraction.
@@ -333,8 +331,8 @@ def compare(a, b, term, fuel=DEFAULT_FUEL, *,
     Events match on address and redex alone: substitution respects
     alpha, so alpha-equal redexes have alpha-equal contracta.
     """
-    oa = evaluate(a, term, fuel, max_nodes=max_nodes, max_frames=max_frames)
-    ob = evaluate(b, term, fuel, max_nodes=max_nodes, max_frames=max_frames)
+    oa = evaluate(a, term, fuel, max_nodes=max_nodes)
+    ob = evaluate(b, term, fuel, max_nodes=max_nodes)
     return _compare_outcomes(oa, ob)
 
 

@@ -124,11 +124,11 @@ TABLE_TERMS = (
     "(\\x.(\\f.(\\x.f (x x)) \\x.f (x x)) x) \\w.w",
     "(\\v1.v1 v1) \\v1.(\\v2.(\\v3.v3) v1) (v1 v1)",
 )
-# (row, term, fuel, max_nodes, max_frames, and the error the run raises
-# or the sha256 prefix of its trace when it runs out of fuel). Every case
-# skips periods, then runs out partway through one; the last five terms
-# include runs whose stack and allocations both grow each period, with
-# limits that race one another.
+# (row, term, fuel, max_nodes, engine.MAX_FRAMES, and the error the run
+# raises or the sha256 prefix of its trace when it runs out of fuel).
+# Every case skips periods, then runs out partway through one; the last
+# five terms include runs whose stack and allocations both grow each
+# period, with limits that race one another.
 TABLE = (
     ('SSH<>ISS', 0, 2999, 1000000, 2000000, '082657309376acd4'),
     ('SSH<>ISS', 0, 3000, 777, 2000000, NODES),
@@ -188,12 +188,13 @@ def _trace_digest(trace):
 
 
 @pytest.mark.parametrize("case", TABLE, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]}-{c[4]}")
-def test_limits_run_out_where_they_did_without_the_skip(case):
+def test_limits_run_out_where_they_did_without_the_skip(case, monkeypatch):
     spec, term, fuel, max_nodes, max_frames, expected = case
     term = TABLE_TERMS[term]
+    monkeypatch.setattr(engine, "MAX_FRAMES", max_frames)
     for traced in (True, False):
         run = lambda: evaluate(spec, term, fuel, record_trace=traced,
-                               max_nodes=max_nodes, max_frames=max_frames)
+                               max_nodes=max_nodes)
         if expected in (NODES, FRAMES):
             with pytest.raises(ResourceLimitError, match=expected):
                 run()
@@ -215,15 +216,84 @@ _DIVERGENT_OPERAND = "(\\x.y) #Omega"
     ({"max_frames": 50}, ResourceLimitError, FRAMES),
     ({"max_frames": 5000}, ResourceLimitError, FRAMES),
 ])
-def test_divergent_derivation_fails_fast(limits, error, message):
+def test_divergent_derivation_fails_fast(limits, error, message, monkeypatch):
     # The whole default budget took about a second and 100 MB when every
     # period was walked.
+    limits = dict(limits)
+    if "max_frames" in limits:
+        monkeypatch.setattr(engine, "MAX_FRAMES", limits.pop("max_frames"))
     start = time.perf_counter()
     with pytest.raises(error) as raised:
         derivation_forest("bv", _DIVERGENT_OPERAND, **limits)
     assert type(raised.value) is error
     assert str(raised.value) == message
     assert time.perf_counter() - start < 0.25
+
+
+# Two runs that skip with a deep stack behind them. Under bv, the
+# D-spine x99 (x98 (... (x0 ((\q.q) w)))) is an operand walked 100
+# frames deep before the divergent operand runs, so the walk around the
+# repeat keeps a stored peak far above the running one. Under bn, the
+# operator walk of 100 applications of \a0. ... \a99. W W, with
+# W = \x.x x x, leaves the running peak itself far above the stack at
+# the repeat, and no operand walk resets it.
+_SPINE = "(\\q.q) w"
+for _i in range(100):
+    _SPINE = f"x{_i} ({_SPINE})"
+_BINDERS = "".join(f"\\a{i}." for i in range(100))
+_DEEP_PEAKS = {
+    "stored": ("bv", f"(\\a.\\z.y) ({_SPINE}) "
+                     "((\\x.f (x x)) (\\x.f (x x)))"),
+    "running": ("bn", "(" * 100 + f"({_BINDERS}(\\x.x x x) (\\x.x x x))"
+                      + " p)" * 100),
+}
+
+
+def _no_skip(machine, anchor, path, peak):
+    machine.anchor = machine.span = None
+
+
+def _limited(spec, term, fuel):
+    try:
+        outcome = evaluate(spec, term, fuel)
+    except ResourceLimitError as error:
+        return str(error)
+    return outcome.status, outcome.fuel_used, tuple(outcome.trace)
+
+
+@pytest.mark.parametrize("case", _DEEP_PEAKS)
+def test_a_skip_under_a_deeper_peak_keeps_the_frame_limit(case, monkeypatch):
+    # The skip bounds its periods by the running peak alone: the peaks
+    # the open walks keep belong to frames beneath the repeat, which
+    # never pop again.
+    spec, term = _DEEP_PEAKS[case]
+    seen = []
+    skip = engine._Machine._skip
+
+    def spy(machine, anchor, path, peak):
+        stored = [f[5] for f in machine.frames if f[0] == engine._CON2]
+        stored += [f[4] for f in machine.frames if f[0] == engine._NEU2]
+        seen.append((peak, len(machine.frames), max(stored, default=0)))
+        skip(machine, anchor, path, peak)
+
+    monkeypatch.setattr(engine._Machine, "_skip", spy)
+    assert evaluate(spec, term, 3000).status == FUEL_EXHAUSTED
+    [(peak, depth, stored)] = seen
+    assert stored > peak if case == "stored" else peak > depth + 50
+    monkeypatch.setattr(engine._Machine, "_skip", skip)
+
+    for fuel in (3000, 500):
+        outcomes = set()
+        for limit in sorted({*range(20, 1000, 29), *range(1000, 3010, 251),
+                             fuel - 1, fuel}):
+            monkeypatch.setattr(engine, "MAX_FRAMES", limit)
+            skipped = _limited(spec, term, fuel)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine._Machine, "_skip", _no_skip)
+                walked = _limited(spec, term, fuel)
+            assert skipped == walked, (fuel, limit)
+            outcomes.add(skipped == FRAMES)
+        assert outcomes == {True, False}
 
 
 def test_each_spec_is_validated_once(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from lambdalab import (GenConfig, Var, free_vars, generate, parse_term,
                        print_term)
+from lambdalab import engine
 from lambdalab import terms as terms_module
 from lambdalab.cli import build_parser, main
 from lambdalab.lab import DEFAULT_FACTORIAL_FUEL
@@ -349,6 +350,21 @@ def test_compare_strict_fuel_exits_two_unless_decided(capsys, a, b, term,
     strict, strict_out, _ = run(capsys, *argv, "--strict-fuel")
     assert out.splitlines()[0] == verdict
     assert (lenient, strict, strict_out) == (0, code, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "-s", "no"),
+    ("trace", "-s", "no"),
+    ("tree", "--json", "-s", "no"),
+    ("compare", "no", "bn"),
+])
+def test_resource_limit_exits_two_only_under_strict_fuel(capsys, monkeypatch,
+                                                         argv):
+    monkeypatch.setattr(engine, "MAX_FRAMES", 5)
+    argv = (*argv, "#Y (\\f.\\x. x (f x))", "--fuel", "1000")
+    for flags, code in (((), 0), (("--strict-fuel",), 2)):
+        assert run(capsys, *argv, *flags) == (
+            code, "", "resource limit: machine frame stack limit exceeded\n")
 
 
 def test_parse_error_exit(capsys):

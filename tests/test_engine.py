@@ -28,6 +28,7 @@ from lambdalab import (
     reconstruct_sequence,
     sequence_from_tree,
 )
+from lambdalab import engine
 from strategies import closed_terms
 
 SPEC_POOL = ("bn", "bv", "ao", "he", "IIS", "SIS", "no", "hn", "sn", "ha",
@@ -149,20 +150,20 @@ def test_eval_apply_runs_have_no_stage(spec):
 _FRAME_HUNGRY = parse_term("#Y (\\f.\\x. x (f x))")
 _BY_NAME = parse_spec("byName")
 _GUARDED_RUNS = {
-    "evaluate": lambda **kw: evaluate("no", _FRAME_HUNGRY, 1000, **kw),
-    "compare": lambda **kw: compare("no", "bn", _FRAME_HUNGRY, 1000, **kw),
+    "evaluate": lambda: evaluate("no", _FRAME_HUNGRY, 1000),
+    "compare": lambda: compare("no", "bn", _FRAME_HUNGRY, 1000),
     # byName's eval stage converges; its readback unfolds the fixed point
-    "readback": lambda **kw: evaluate(_BY_NAME, _FRAME_HUNGRY, 1000, **kw),
-    "derivation_forest": lambda **kw: derivation_forest(
-        "no", _FRAME_HUNGRY, 1000, **kw),
+    "readback": lambda: evaluate(_BY_NAME, _FRAME_HUNGRY, 1000),
+    "derivation_forest": lambda: derivation_forest("no", _FRAME_HUNGRY, 1000),
 }
 
 
 @pytest.mark.parametrize("run", sorted(_GUARDED_RUNS))
-def test_frame_limit_stops_the_run(run):
+def test_frame_limit_stops_the_run(run, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_FRAMES", 5)
     with pytest.raises(ResourceLimitError,
                        match="machine frame stack limit exceeded"):
-        _GUARDED_RUNS[run](max_frames=5)
+        _GUARDED_RUNS[run]()
 
 
 def test_frame_hungry_term_runs_out_of_fuel_by_default():
@@ -377,7 +378,7 @@ def test_strict_hybrid_factorial_of_five(row):
 # walk of s t; its second walk, under the k's, is the deepest of the run.
 _DEEP_REWALK = "(\\f. f c (k (k (f c)))) (\\x. h (p (q (q r)) (s t)))"
 
-# The smallest max_frames each run passes with, as the machine without
+# The smallest engine.MAX_FRAMES each run passes with, as the machine without
 # the operand memo gave it; a memo hit must not move it.
 _FRAME_EDGES = {
     "sn-4": ("sn", factorial_term("sn", 4), 29),
@@ -390,12 +391,14 @@ _FRAME_EDGES = {
 
 
 @pytest.mark.parametrize("case", _FRAME_EDGES)
-def test_operand_memo_keeps_the_frame_limit_exact(case):
+def test_operand_memo_keeps_the_frame_limit_exact(case, monkeypatch):
     row, term, edge = _FRAME_EDGES[case]
+    monkeypatch.setattr(engine, "MAX_FRAMES", edge - 1)
     with pytest.raises(ResourceLimitError,
                        match="machine frame stack limit exceeded"):
-        evaluate(row, term, record_trace=False, max_frames=edge - 1)
-    outcome = evaluate(row, term, record_trace=False, max_frames=edge)
+        evaluate(row, term, record_trace=False)
+    monkeypatch.setattr(engine, "MAX_FRAMES", edge)
+    outcome = evaluate(row, term, record_trace=False)
     assert outcome.status == CONVERGED
 
 

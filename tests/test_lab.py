@@ -19,6 +19,7 @@ from lambdalab import (
     ONE_STEP_EQUAL,
     VIOLATED,
     FormClass,
+    FusionResult,
     NotationError,
     Outcome,
     ReadbackSpec,
@@ -32,7 +33,10 @@ from lambdalab import (
     demo_factorial,
     evaluate,
     factorial_term,
+    paper_corpus,
+    parse_spec,
     parse_term,
+    print_term,
 )
 from lambdalab import lab
 from lambdalab.terms import _alpha_sig
@@ -264,6 +268,64 @@ def _event(position, redex):
 def test_events_equal_compares_address_and_redex(e, f, equal):
     assert lab._events_equal(e, f) is equal
     assert lab._events_equal(f, e) is equal
+
+
+_WRONG_FUSION_TERMS = [t for _, t in paper_corpus()]
+_THREE_OPERANDS = "x (\\x.(\\a.a) u1) ((\\a.a) u2) ((\\a.a) u3)"
+
+
+def _wrongly_fused(monkeypatch, hybrid):
+    """(RE)R.ISS checked against hybrid, with no mcr flag, in place of
+    its fused HSH<>ISS."""
+    monkeypatch.setattr(
+        lab, "fuse", lambda spec: FusionResult(parse_spec(hybrid), False))
+    return check_fusion_row("(RE)R.ISS", _WRONG_FUSION_TERMS, 3000)
+
+
+def _examples(report):
+    return [(c["term"], c["verdict"],
+             None if c["witness"] is None else c["witness"]["step"])
+            for c in report.counterexamples]
+
+
+def test_a_wrong_fusion_reports_its_counterexamples(monkeypatch):
+    report = _wrongly_fused(monkeypatch, "HSS<>ISS")
+    assert report.verdicts == {BOTH_EXHAUSTED_EQUAL_PREFIX: 5,
+                               ONE_STEP_EQUAL: 7, DIFFER: 1}
+    assert _examples(report) == [(_THREE_OPERANDS, DIFFER, 2)]
+    # Without the mcr flag a reordering is a failure too.
+    report = _wrongly_fused(monkeypatch, "SSH<>ISS")
+    assert report.verdicts == {BOTH_EXHAUSTED_EQUAL_PREFIX: 5,
+                               ONE_STEP_EQUAL: 7, EQUAL_MCR: 1}
+    assert _examples(report) == [(_THREE_OPERANDS, EQUAL_MCR, None)]
+    report = _wrongly_fused(monkeypatch, "HSI<>ISI")
+    violated = "hybrid-absorb-eval-violated"
+    assert _examples(report) == [
+        (_THREE_OPERANDS, violated, 0),
+        ("(\\x.x x) (x ((\\a.a) u)) \\w.w", violated, 0),
+        ("x (x ((\\a.a) u))", violated, 0),
+    ]
+
+
+def test_a_failing_eval_stage_reports_idempotence(monkeypatch):
+    # The eval stage run again on its own result comes back exhausted.
+    ev = parse_spec("(RE)R.ISS").ev
+    then = lab._then
+
+    def broken(spec, first, fuel, max_nodes):
+        if spec == ev:
+            return Outcome(FUEL_EXHAUSTED, None, None, fuel)
+        return then(spec, first, fuel, max_nodes)
+
+    monkeypatch.setattr(lab, "_then", broken)
+    report = check_fusion_row("(RE)R.ISS", _WRONG_FUSION_TERMS, 3000)
+    assert report.verdicts == {BOTH_EXHAUSTED_EQUAL_PREFIX: 5,
+                               ONE_STEP_EQUAL: 7, EQUAL_MCR: 1}
+    staged = [print_term(t) for t in _WRONG_FUSION_TERMS
+              if evaluate("(RE)R.ISS", t, 3000).stage is not None]
+    assert len(staged) == 8
+    assert _examples(report) == [
+        (t, "eval-idempotence-violated", None) for t in staged]
 
 
 def test_fusion_row_rejects_invalid_readback():

@@ -23,13 +23,9 @@ from lambdalab import (
 )
 from lambdalab import engine, lab
 from lambdalab.engine import Trace, TraceEvent
-from test_blackhole import RUNS
+from test_blackhole import RUNS, _no_skip
 
 FUELS = (3000, 400, 47)
-
-
-def _no_skip(machine, anchor, path, peak):
-    machine.anchor = machine.span = None
 
 
 def _walked(spec, term, fuel):
