@@ -351,17 +351,18 @@ def alpha_eq(a: Term, b: Term) -> bool:
     if a == b:
         return True
     intern = {}
-    return _alpha_sig(a, intern) is _alpha_sig(b, intern)
+    return _alpha_sig(a, intern) == _alpha_sig(b, intern)
 
 
 def _alpha_sig(t: Term, intern: dict):
     """Canonical nameless signature of t.
 
     Bound variables become binder-distance indices, so two terms are alpha
-    equivalent exactly when their signatures coincide. Signatures are
-    interned in `intern`, making the final comparison an identity check,
-    and memoized per (node, relevant-bindings) so shared subterms are
-    visited once per distinct binding context.
+    equivalent exactly when their signatures coincide. Each signature is
+    interned in `intern` as a small int, and a node's signature holds its
+    children's ints, so no tuple nests and hashing stays flat however deep
+    the term. Signatures are memoized per (node, relevant-bindings) so
+    shared subterms are visited once per distinct binding context.
     """
     memo = {}
     env = {}
@@ -376,7 +377,7 @@ def _alpha_sig(t: Term, intern: dict):
             if ty is Var:
                 lvl = env.get(node.name)
                 sig = ("f", node.name) if lvl is None else ("b", depth - lvl)
-                vals.append(intern.setdefault(sig, sig))
+                vals.append(intern.setdefault(sig, len(intern)))
                 continue
             items = []
             for name in free_vars(node):
@@ -404,16 +405,14 @@ def _alpha_sig(t: Term, intern: dict):
                 del env[p]
             else:
                 env[p] = old
-            sig = ("l", vals.pop())
-            sig = intern.setdefault(sig, sig)
+            sig = intern.setdefault(("l", vals.pop()), len(intern))
             memo[key] = sig
             vals.append(sig)
         else:
             _, key = f
             asig = vals.pop()
             msig = vals.pop()
-            sig = ("a", msig, asig)
-            sig = intern.setdefault(sig, sig)
+            sig = intern.setdefault(("a", msig, asig), len(intern))
             memo[key] = sig
             vals.append(sig)
     return vals[0]

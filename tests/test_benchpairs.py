@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location(
     "benchpairs", ROOT / "tools" / "benchpairs.py")
@@ -72,3 +74,22 @@ def test_higher_is_better_metrics_flip_the_sign():
     verdict = benchpairs.verdict([1.0] * 10, [2.0] * 10, 0.1,
                                  lower_is_better=False)
     assert verdict["verdict"] == "gain" and verdict["wins"] == 10
+
+
+def test_a_failed_run_prints_where_it_failed_and_its_stderr(monkeypatch,
+                                                             capsys):
+    stderr = "".join(f"line {k}\n" for k in range(30)) + "ValueError: boom\n"
+
+    def fake_run(argv, **kwargs):
+        assert "check" not in kwargs
+        return benchpairs.subprocess.CompletedProcess(argv, 1, "", stderr)
+
+    monkeypatch.setattr(benchpairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as exc:
+        benchpairs.run("change", "/nowhere", "fusion", 7, 12, pair=3)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "change fusion --seed 7 pair 3" in err
+    assert "exited with status 1" in err
+    assert "ValueError: boom" in err and "line 29" in err
+    assert "line 0\n" not in err  # only the tail

@@ -1,11 +1,13 @@
-"""The summariser of tools/interleave.py, on canned timings; no item
-runs."""
+"""The summariser of tools/interleave.py, on canned timings, and its
+item resolver, on perfbench Contexts of the working tree; no item runs."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+import lambdalab
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))  # interleave imports benchpairs
@@ -46,3 +48,48 @@ def test_wins_quartiles_and_one_round():
     assert (no["ratio_q1"], no["ratio"], no["ratio_q3"]) == \
         pytest.approx((1.5, 1.5, 1.5))
     assert no["wins"] == 0 and no["rounds"] == 1
+
+
+@pytest.fixture(scope="module")
+def ctxs():
+    # both sides resolve alike, so the working tree stands for both
+    return interleave.contexts(lambdalab, None)
+
+
+def _row(ctx, spec):
+    texts = [lambdalab.print_spec(s) for s in ctx.specs]
+    return texts.index(lambdalab.print_spec(lambdalab.parse_spec(spec)))
+
+
+def test_items_resolve_to_perfbench_universe_indices(ctxs):
+    sweep, fusion, factorial = (ctxs[w] for w in ("sweep", "fusion",
+                                                  "factorial"))
+    paper = [name for name, _ in lambdalab.paper_corpus()]
+    assert interleave.resolve(ctxs, "factorial:bn:2") == (
+        factorial, factorial.universe.index(["bn", 2]))
+    assert interleave.resolve(ctxs, "sweep:bv:3") == (
+        sweep, sweep.universe.index([_row(sweep, "ISS"), 3]))
+    term = interleave.workloads.FUSION_K + paper.index("neutral-operand")
+    assert fusion.corpus[term] == dict(lambdalab.paper_corpus())[
+        "neutral-operand"]
+    assert interleave.resolve(ctxs, "fusion:byValue:neutral-operand") == (
+        fusion, fusion.universe.index([_row(fusion, "byValue"), term]))
+    # an encoding names the same row as its alias
+    assert interleave.resolve(ctxs, "factorial:HIH<>SII:6") == \
+        interleave.resolve(ctxs, "factorial:hn:6")
+
+
+@pytest.mark.parametrize("item, workload", [
+    ("sweep:byValue:3", "sweep"),  # readback rows are fusion's
+    ("sweep:bv:eta-fixpoint", "sweep"),  # no paper terms in sweep
+    ("fusion:byValue:600", "fusion"),  # fusion stops at FUSION_K terms
+    ("factorial:ao:2", "factorial"),  # not a table row
+    ("factorial:bn:7", "factorial"),
+    ("cli:eval:0", "sweep, fusion, factorial"),
+])
+def test_items_outside_the_universe_are_refused(ctxs, item, workload):
+    with pytest.raises(SystemExit) as exc:
+        interleave.resolve(ctxs, item)
+    assert isinstance(exc.value.code, str)  # a message, so exit status 1
+    assert exc.value.code.startswith(item + ":")
+    assert workload in exc.value.code

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import re
 import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -157,6 +158,25 @@ def test_alpha_eq_examples():
     assert alpha_eq(parse_term("\\x.x"), parse_term("\\y.y"))
     assert not alpha_eq(parse_term("\\x.y"), parse_term("\\y.y"))
     assert alpha_eq(parse_term("\\x.\\y.x y"), parse_term("\\a.\\b.a b"))
+
+
+def _numeral(n, f, x, innermost):
+    body = Var(innermost)
+    for _ in range(n):
+        body = App(Var(f), body)
+    return Lam(f, Lam(x, body))
+
+
+@pytest.mark.parametrize("innermost, equal", [("y", True), ("g", False)])
+def test_alpha_eq_is_flat_and_linear_on_deep_terms(innermost, equal):
+    # Signatures are interned as ints, so nothing hashes a nested tuple:
+    # a 50,000-deep numeral once took minutes, and a million-deep one
+    # overflowed the C stack in hash().
+    a = _numeral(50_000, "f", "x", "x")
+    b = _numeral(50_000, "g", "y", innermost)
+    start = time.perf_counter()
+    assert alpha_eq(a, b) is equal
+    assert time.perf_counter() - start < 2.0
 
 
 def test_classify_examples():

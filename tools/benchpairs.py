@@ -105,12 +105,21 @@ def last_json_line(text):
     raise ValueError("no result line in the run's output")
 
 
-def run(tree, workload, seed, seconds, trace=0):
+def run(side, tree, workload, seed, seconds, trace=0, pair=None):
+    """The result line of one perfbench run of tree; a run that fails
+    stops the script with exit status 1 and the end of its stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace",
          str(trace)],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        what = "traced run" if pair is None else f"pair {pair}"
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        print(f"{side} {workload} --seed {seed} {what}: perfbench/run.py "
+              f"exited with status {proc.returncode}\n{tail}",
+              file=sys.stderr)
+        raise SystemExit(1)
     return last_json_line(proc.stdout)
 
 
@@ -151,16 +160,18 @@ def main(argv=None):
               "host_probe_us": [host_probe_us()], "workloads": {}}
     with tempfile.TemporaryDirectory() as parent_tree:
         export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
         for workload in args.workload:
             for seed in args.seed:
                 key = f"{workload} --seed {seed}"
                 pairs = []
                 for k in range(args.pairs):
                     sides = {}
-                    for tree in ((parent_tree, ROOT) if k % 2 == 0
-                                 else (ROOT, parent_tree)):
-                        sides[tree] = run(tree, workload, seed, args.seconds)
-                    pairs.append((sides[parent_tree], sides[ROOT]))
+                    for side in (("parent", "change") if k % 2 == 0
+                                 else ("change", "parent")):
+                        sides[side] = run(side, trees[side], workload, seed,
+                                          args.seconds, pair=k + 1)
+                    pairs.append((sides["parent"], sides["change"]))
                     print(f"{key} pair {k + 1}/{args.pairs}: wall_s "
                           f"{pairs[-1][0]['metrics']['wall_s']['value']:.3f}"
                           f" -> {pairs[-1][1]['metrics']['wall_s']['value']:.3f}",
@@ -168,9 +179,8 @@ def main(argv=None):
                 summary = summarise(end_to_end, pairs)
                 if args.trace_pair:
                     summary["traced"] = {
-                        side: run(tree, workload, seed, args.seconds, 1)
-                        for side, tree in (("parent", parent_tree),
-                                           ("change", ROOT))}
+                        side: run(side, tree, workload, seed, args.seconds, 1)
+                        for side, tree in trees.items()}
                 report["workloads"][key] = summary
     report["host_probe_us"].append(host_probe_us())
     with open(args.out, "w", encoding="utf-8") as f:

@@ -1,31 +1,33 @@
-"""In-process interleaved timing of named items, parent against change.
+"""In-process interleaved timing of perfbench items, parent against change.
 
     python3 tools/interleave.py --parent REV [--rounds 10] ITEM...
 
-ITEM names one run, as perfbench runs it:
-
-- sweep:SPEC:TERM: evaluate(SPEC, TERM) untraced at fuel 20000 and
-  max_nodes 250000, then classify a converged result;
-- fusion:SPEC:TERM: check_fusion_row(SPEC, [TERM], 3000,
-  max_nodes=250000);
-- factorial:ROW:N: evaluate(ROW, factorial_term(ROW, N)) untraced at
-  fuel 250000.
-
-TERM is an index into the seed-1337 size-30 corpus of 1,000 terms or the
-name of a paper term; for example sweep:SIS:527 or factorial:hn:6.
+ITEM is WORKLOAD:SPEC:TERM, one item of a perfbench workload, run as
+its workloads.Context runs it: sweep:SPEC:TERM, an eval-apply row on a
+sweep corpus term named by index; fusion:SPEC:TERM, a readback row on a
+fusion corpus term named by index or paper-term name; factorial:ROW:N.
+SPEC is an alias or an encoding; for example sweep:SIS:527,
+fusion:byValue:neutral-operand or factorial:hn:6. An item outside its
+workload's universe is refused.
 
 The parent's src/lambdalab is exported with `git archive` into a
 temporary directory as the package lambdalab_parent, and both trees are
 imported into this one process, so both sides share the interpreter,
-the heap and the host's moment-to-moment speed. Each round runs every
-item once on each side, the parent first in even rounds and the change
-first in odd ones, after one untimed round that warms both. Each run is
-timed with time.perf_counter and corrected for host speed by
-perfbench/hostclock.py. Both sides' outcomes must agree on every run,
-or the script stops with exit status 1. It prints, per item, each
-side's median seconds, the median of the per-round change/parent ratios
-with its quartiles, and the change's wins. Standard library only; run
-from the root of a checkout.
+the heap and the host's moment-to-moment speed. Each tree gets one
+perfbench/workloads.py Context per workload. The set-up data (trees,
+Contexts, reference outcomes) is then frozen out of the collector with
+gc.freeze, as perfbench/worker.py freezes its reference. Each round runs
+every item once on each side, the parent first in even rounds and the
+change first in odd ones, after one untimed round that warms both. Each
+timed span is exactly one Context.run call, timed with
+time.perf_counter and corrected for host speed by perfbench/hostclock.py.
+Outside the span, Context.check compares the change's outcome with
+perfbench/reference and tests/oracle.py; the oracle is bound to the
+change's term classes, so the parent is not checked. A failed check
+stops the script with exit status 1. It prints, per item, each side's
+median seconds, the median of the per-round change/parent ratios with
+its quartiles, and the change's wins. Standard library only; run from
+the root of a checkout.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import argparse
 import gc
 import importlib
 import io
-import json
 import os
 import statistics
 import subprocess
@@ -46,11 +47,14 @@ import time
 from benchpairs import quartiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(ROOT, "perfbench")
 PARENT_PACKAGE = "lambdalab_parent"
-# perfbench's settings for its sweep, fusion and factorial items
-SWEEP_FUEL, FUSION_FUEL, FACTORIAL_FUEL = 20000, 3000, 250000
-MAX_NODES = 250000
-CORPUS_SEED, CORPUS_SIZE_MAX, CORPUS_N = 1337, 30, 1000
+# cli items run a child process of the working tree, not an imported tree
+WORKLOADS = ("sweep", "fusion", "factorial")
+sys.path[:0] = [os.path.join(ROOT, "src"), BENCH_DIR,
+                os.path.join(ROOT, "tests")]
+import workloads  # noqa: E402
+from hostclock import HostClock  # noqa: E402
 
 
 def summarise(timings):
@@ -85,97 +89,70 @@ def export(rev, into):
         tar.extractall(into, members)
 
 
-class Side:
-    """One tree's package and the prepared inputs of every item."""
-
-    def __init__(self, lab, items):
-        self.lab = lab
-        self._corpus = None
-        self.runs = {item: self._prepare(item) for item in items}
-
-    def _term(self, name):
-        lab = self.lab
-        if name.isdigit():
-            if self._corpus is None:
-                self._corpus = lab.generate(lab.GenConfig(
-                    seed=CORPUS_SEED, size_max=CORPUS_SIZE_MAX), CORPUS_N)
-            return self._corpus[int(name)]
-        return dict(lab.paper_corpus())[name]
-
-    def _prepare(self, item):
-        """A function of no arguments that runs item and returns a
-        summary of its outcome that compares across the two trees."""
-        lab = self.lab
-        kind, rest = item.split(":", 1)
-        spec_text, arg = rest.rsplit(":", 1)
-        spec = lab.parse_spec(spec_text)
-        if kind == "sweep":
-            term = self._term(arg)
-
-            def run():
-                try:
-                    out = lab.evaluate(spec, term, SWEEP_FUEL,
-                                       record_trace=False, max_nodes=MAX_NODES)
-                except lab.ResourceLimitError as e:
-                    return ("resource", str(e))
-                forms = (sorted(f.value for f in lab.classify(out.result))
-                         if out.status == lab.CONVERGED else None)
-                return self._outcome(out) + (forms,)
-        elif kind == "fusion":
-            term = self._term(arg)
-
-            def run():
-                report = lab.check_fusion_row(spec, [term], FUSION_FUEL,
-                                              max_nodes=MAX_NODES)
-                return json.dumps(report.to_json(), sort_keys=True)
-        elif kind == "factorial":
-            term = lab.factorial_term(spec_text, int(arg))
-
-            def run():
-                return self._outcome(lab.evaluate(
-                    spec, term, FACTORIAL_FUEL, record_trace=False))
-        else:
-            raise SystemExit(f"unknown item kind {kind!r} in {item!r}")
-        return run
-
-    def _outcome(self, out):
-        result = (None if out.result is None
-                  else self.lab.print_term(out.result))
-        return (out.status, out.fuel_used, result)
+def contexts(lab, oracle):
+    """One perfbench Context per workload for the package lab."""
+    return {w: workloads.Context(w, lab, oracle, ROOT) for w in WORKLOADS}
 
 
-def timed(run):
-    gc.collect()
-    a = time.perf_counter()
-    outcome = run()
-    b = time.perf_counter()
-    return outcome, (a, b)
-
-
-def interleave(sides, items, rounds, clock):
-    """Host-corrected seconds {item: {side: [one per round]}}, or None
-    when the two sides' outcomes differ."""
-    spans = {item: {"parent": [], "change": []} for item in items}
-    clock.start()
+def resolve(ctxs, item):
+    """(Context, universe index) of item among ctxs, the result of
+    contexts(); an item outside its workload's universe is refused."""
+    workload, _, rest = item.partition(":")
+    spec_text, _, arg = rest.rpartition(":")
+    ctx = ctxs.get(workload)
+    if ctx is None:
+        raise SystemExit(f"{item}: the workload must be one of "
+                         f"{', '.join(ctxs)}, as WORKLOAD:SPEC:TERM")
     try:
-        for r in range(rounds + 1):
-            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-            for item in items:
-                seen = {}
-                for side in order:
-                    seen[side], span = timed(sides[side].runs[item])
-                    if r:
-                        spans[item][side].append(span)
-                if seen["parent"] != seen["change"]:
-                    print(f"{item}: the outcomes differ\n  parent "
-                          f"{str(seen['parent'])[:300]}\n  change "
-                          f"{str(seen['change'])[:300]}", file=sys.stderr)
+        row = ctx.specs.index(ctx.lab.parse_spec(spec_text))
+    except ValueError:  # a NotationError, or a spec that is not a row
+        raise SystemExit(f"{item}: {spec_text!r} is not a row of the "
+                         f"{workload} workload") from None
+    if workload == "factorial":
+        key = [ctx.rows[row], int(arg) if arg.isdigit() else arg]
+        hint = f"n is {workloads.FACTORIAL_NS[0]}-{workloads.FACTORIAL_NS[-1]}"
+    else:
+        generated = {"sweep": workloads.CORPUS_N,
+                     "fusion": workloads.FUSION_K}[workload]
+        # fusion's corpus ends with the paper terms; sweep's has none
+        names = [n for n, _ in ctx.lab.paper_corpus()][
+            :len(ctx.corpus) - generated]
+        if arg.isdigit() and int(arg) < generated:
+            term = int(arg)
+        else:
+            term = generated + names.index(arg) if arg in names else None
+        key = [row, term]
+        hint = (f"terms are 0-{generated - 1}"
+                + (" or a paper term's name" if names else ""))
+    if key not in ctx.universe:
+        raise SystemExit(f"{item}: {arg!r} is not in the {workload} "
+                         f"workload; its {hint}")
+    return ctx, ctx.universe.index(key)
+
+
+def interleave(runs, refs, rounds, clock):
+    """Seconds {item: {side: [one per round]}}, corrected by the running
+    clock, or None when a check of the change fails. runs maps each item
+    to {side: (Context, index)}; refs maps each workload to its
+    reference entries."""
+    spans = {item: {"parent": [], "change": []} for item in runs}
+    for r in range(rounds + 1):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        for item, sides in runs.items():
+            for side in order:
+                ctx, idx = sides[side]
+                gc.collect()
+                a = time.perf_counter()
+                raw = ctx.run(idx)
+                b = time.perf_counter()
+                if r:
+                    spans[item][side].append((a, b))
+                if side == "change" and (reason := ctx.check(
+                        idx, raw, refs[ctx.workload][idx])):
+                    print(f"{item}: {reason}", file=sys.stderr)
                     return None
-            if r:
-                print(f"round {r}/{rounds} done", file=sys.stderr,
-                      flush=True)
-    finally:
-        clock.stop()
+        if r:
+            print(f"round {r}/{rounds} done", file=sys.stderr, flush=True)
     return {item: {side: [clock.corrected(a, b) for a, b in sp[side]]
                    for side in sp}
             for item, sp in spans.items()}
@@ -187,17 +164,31 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("items", nargs="+", metavar="ITEM")
     args = parser.parse_args(argv)
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    from hostclock import HostClock
-
-    with tempfile.TemporaryDirectory() as tmp:
-        export(args.parent, tmp)
-        sys.path.insert(0, tmp)
-        sides = {"parent": Side(importlib.import_module(PARENT_PACKAGE),
-                                args.items),
-                 "change": Side(importlib.import_module("lambdalab"),
-                                args.items)}
-        timings = interleave(sides, args.items, args.rounds, HostClock())
+    import oracle  # binds the working tree's lambdalab
+    clock = HostClock()
+    clock.start()  # before the set-up, as in perfbench/worker.py
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            export(args.parent, tmp)
+            sys.path.insert(0, tmp)
+            ctxs = {"parent": contexts(
+                        importlib.import_module(PARENT_PACKAGE), None),
+                    "change": contexts(importlib.import_module("lambdalab"),
+                                       oracle)}
+            refs = {w: workloads.load_reference(BENCH_DIR, w)
+                    for w in WORKLOADS}
+            if any(refs[w]["universe"] != ctx.universe
+                   for w, ctx in ctxs["change"].items()):
+                raise SystemExit("perfbench/reference was recorded for "
+                                 "another item universe")
+            refs = {w: ref["entries"] for w, ref in refs.items()}
+            runs = {item: {side: resolve(ctxs[side], item) for side in ctxs}
+                    for item in args.items}
+            gc.collect()
+            gc.freeze()
+            timings = interleave(runs, refs, args.rounds, clock)
+    finally:
+        clock.stop()
     if timings is None:
         return 1
     print(f"{'item':28} {'parent s':>9} {'change s':>9} {'ratio':>7} "
