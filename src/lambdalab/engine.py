@@ -42,8 +42,10 @@ walk spent no fuel, recorded no event and allocated nothing, and a
 repeat would do the same. The one way such a walk can still stop a run
 is the frame limit, so each entry keeps the deepest stack its walk
 reached, and a walk that would pass the frame limit is made for real.
-Derivation-tree runs never use the memo, and neither does a readback
-(RE) operand slot, which walks its operand twice.
+The memo is checked and filled at one place, the application rule's
+one operand premise, which ends in a contraction (ar1) or in a rebuilt
+neutral (ar2). Derivation-tree runs never use the memo, and neither
+does a readback (RE) operand slot, which walks its operand twice.
 
 The blackhole cuts divergent runs short, as lazy evaluators do when a
 thunk is demanded while it is being evaluated (Peyton Jones, The
@@ -275,43 +277,29 @@ class _Layer:
         self.ar2_then = None
 
 
-def _build_layer(spec) -> _Layer:
+def _build_layer(spec, ev=None) -> _Layer:
+    """The layer of spec; for a readback encoding, its readback pass over
+    its eval layer ev. A readback slot I is the identity, E is ev, R is
+    the readback layer and (RE) is ev followed by the readback layer.
+    Readback recurses on its own only where ev has walked (the slot rule
+    validate enforces), and ev leaves no abstraction in an operator
+    position it walked, so the readback layer's operator walk never
+    contracts and it has no ar1 slot."""
+    layer = _Layer()
+    layer.op1, layer.op2 = layer, None
     if isinstance(spec, UniformSpec):
-        u = _Layer()
-        u.la = u if spec.la == "S" else None
-        u.ar1 = u if spec.ar1 == "S" else None
-        u.ar2 = u if spec.ar2 == "S" else None
-        u.op1 = u
-        u.op2 = None
-        return u
-    sub = _build_layer(spec.subsidiary)
-    h = _Layer()
-    pick = {"I": None, "S": sub, "H": h}
-    h.la = pick[spec.la]
-    h.ar1 = pick[spec.ar1]
-    h.ar2 = pick[spec.ar2]
-    h.op1 = sub
-    h.op2 = h
-    return h
-
-
-def _readback_layer(spec: ReadbackSpec, ev: _Layer) -> _Layer:
-    """The readback pass of spec over its eval layer ev. A slot I is the
-    identity, E is ev, R is the readback layer and (RE) is ev followed
-    by the readback layer. Readback recurses on its own only where ev
-    has walked (the slot rule validate enforces), and ev leaves no
-    abstraction in an operator position it walked, so the readback
-    layer's operator walk never contracts."""
-    rb = _Layer()
-    pick = {"I": None, "E": ev, "R": rb, "RE": ev}
-    rb.la = pick[spec.la]
-    rb.la_then = rb if spec.la == "RE" else None
-    rb.ar1 = None
-    rb.ar2 = pick[spec.ar2]
-    rb.ar2_then = rb if spec.ar2 == "RE" else None
-    rb.op1 = rb
-    rb.op2 = None
-    return rb
+        pick = {"I": None, "S": layer}
+    elif isinstance(spec, ReadbackSpec):
+        pick = {"I": None, "E": ev, "R": layer, "RE": ev}
+        layer.la_then = layer if spec.la == "RE" else None
+        layer.ar2_then = layer if spec.ar2 == "RE" else None
+    else:
+        pick = {"I": None, "S": _build_layer(spec.subsidiary), "H": layer}
+        layer.op1, layer.op2 = pick["S"], layer
+    layer.la = pick[spec.la]
+    layer.ar1 = pick[getattr(spec, "ar1", "I")]
+    layer.ar2 = pick[spec.ar2]
+    return layer
 
 
 def _compile(spec):
@@ -335,7 +323,7 @@ def _build(spec):
         return f"cannot run {print_spec(spec)} ({report.verdict}): {detail}"
     if isinstance(spec, ReadbackSpec):
         ev = _build_layer(spec.ev)
-        return ev, _readback_layer(spec, ev)
+        return ev, _build_layer(spec, ev)
     return _build_layer(spec), None
 
 
@@ -348,11 +336,13 @@ class _OutOfFuel(Exception):
 
 
 # Frame opcodes. EV walks a term under a layer; AP1 dispatches on the
-# evaluated operator; CON2 contracts once the operand premise is done;
-# NEU1/NEU2 finish a neutral; THEN walks the value just produced again
-# under a second layer, which is how a readback layer follows eval, and
-# STAGE, the root THEN beneath a readback run's eval stage, also records
-# that stage's value.
+# evaluated operator, first walking a neutral one again under the layer it
+# carries (a hybrid's own), then opening the operand premise, ar1 for an
+# abstraction or ar2 for a neutral; ARG, beneath that premise's walk,
+# contracts or rebuilds the neutral once it is done. THEN walks the value
+# just produced again under a second layer, which is how a readback layer
+# follows eval; the root THEN of a readback run, popped off an otherwise
+# empty stack, also records the eval stage's value.
 # CLOSE, in derivation-tree runs only, sits beneath the frames of one
 # judgment and gives the innermost open node the value they leave. It
 # carries nothing, but each judgment gets a tuple of its own, so that the
@@ -360,12 +350,9 @@ class _OutOfFuel(Exception):
 _EV = 0
 _MKLAM = 1
 _AP1 = 2
-_CON2 = 3
-_NEU1 = 4
-_NEU2 = 5
-_CLOSE = 6
-_THEN = 7
-_STAGE = 8
+_ARG = 3
+_CLOSE = 4
+_THEN = 5
 
 
 class _Machine:
@@ -466,80 +453,88 @@ class _Machine:
                             frames.append((_THEN, then, path))
                         frames.append((_EV, la, t.body, path))
                 else:
-                    frames.append((_AP1, layer, t, path))
+                    frames.append((_AP1, layer, t, path, layer.op2))
                     frames.append((_EV, layer.op1, t.operator,
                                    ("F", path) if addressed else None))
+                continue
             elif op == _MKLAM:
                 src = frame[1]
                 body = values.pop()
                 values.append(src if body is src.body else Lam(src.param, body))
+                continue
             elif op == _AP1:
-                _, layer, appnode, path = frame
-                mprime = values.pop()
-                if mprime.__class__ is Lam:
-                    ar1 = layer.ar1
-                    operand = appnode.operand
-                    if ar1 is None:
-                        max_frames = self._contract(layer, mprime, operand,
-                                                    path, peak)
-                        continue
+                _, layer, appnode, path, op2 = frame
+                head = values.pop()
+                if head.__class__ is Lam:
+                    walker = layer.ar1
+                    then = None
+                elif op2 is not None:
+                    # A hybrid walks its neutral operator again, under
+                    # itself, before the operand premise.
+                    frames.append((_AP1, layer, appnode, path, None))
+                    frames.append((_EV, op2, head,
+                                   ("F", path) if addressed else None))
+                    continue
+                else:
+                    walker = layer.ar2
+                    then = layer.ar2_then
+                arg = appnode.operand
+                if walker is not None:
+                    # The operand premise. Neither derivation trees nor a
+                    # readback (RE) slot, which walks its operand twice,
+                    # use the memo. A variable, or an abstraction under a
+                    # layer that leaves bodies alone, is its own value at
+                    # the walk's first EV frame.
                     base = len(frames)
-                    if not trees:
-                        depth = self._fixed_depth(ar1, operand)
-                        if depth is not None and base + depth <= max_frames:
-                            if base + depth > peak:
-                                peak = base + depth
-                            max_frames = self._contract(
-                                layer, mprime, operand, path, peak)
-                            continue
-                    frames.append((_CON2, layer, mprime, path, operand, peak))
-                    peak = base
-                    frames.append((_EV, ar1, operand,
-                                   ("A", path) if addressed else None))
-                else:
-                    op2 = layer.op2
-                    if op2 is None:
-                        peak = self._neu_ar2(layer, appnode, mprime, path, peak)
-                    else:
-                        frames.append((_NEU1, layer, appnode, path))
-                        frames.append((_EV, op2, mprime,
-                                       ("F", path) if addressed else None))
-            elif op == _CON2:
-                _, layer, lam, path, operand, outer = frame
-                nprime = values.pop()
-                if nprime is operand and not trees:
-                    fixed[id(operand)] = (operand, layer.ar1,
-                                          peak - len(frames))
+                    depth = None
+                    memo = walker if then is None and not trees else None
+                    if memo is not None:
+                        cls = arg.__class__
+                        if cls is Var or (cls is Lam and walker.la is None):
+                            depth = 1
+                        else:
+                            hit = fixed.get(id(arg))
+                            if hit is not None and hit[1] is walker:
+                                depth = hit[2]
+                    if depth is None or base + depth > max_frames:
+                        frames.append((_ARG, layer, appnode, head, path,
+                                       memo, peak))
+                        peak = base
+                        if addressed:
+                            path = ("A", path)
+                        if then is not None:
+                            frames.append((_THEN, then, path))
+                        frames.append((_EV, walker, arg, path))
+                        continue
+                    if base + depth > peak:
+                        peak = base + depth
+            elif op == _ARG:
+                _, layer, appnode, head, path, memo, outer = frame
+                arg = values.pop()
+                if arg is appnode.operand and memo is not None:
+                    fixed[id(arg)] = (arg, memo, peak - len(frames))
                 if outer > peak:
                     peak = outer
-                max_frames = self._contract(layer, lam, nprime, path, peak)
-            elif op == _NEU1:
-                _, layer, appnode, path = frame
-                mpp = values.pop()
-                peak = self._neu_ar2(layer, appnode, mpp, path, peak)
-            elif op == _NEU2:
-                _, appnode, mpp, walker, outer = frame
-                npp = values.pop()
-                operand = appnode.operand
-                if npp is operand:
-                    out = appnode if mpp is appnode.operator else App(mpp, npp)
-                    if walker is not None:
-                        fixed[id(operand)] = (operand, walker,
-                                              peak - len(frames))
-                else:
-                    out = App(mpp, npp)
-                if outer > peak:
-                    peak = outer
-                values.append(out)
             elif op == _CLOSE:
                 opened.pop().output = values[-1]
-            elif op == _THEN:
+                continue
+            else:  # _THEN
                 _, layer, path = frame
-                frames.append((_EV, layer, values.pop(), path))
-            else:  # _STAGE: the eval stage is done
                 value = values.pop()
-                self.stage = (value, self.fuel)
-                frames.append((_EV, frame[1], value, None))
+                if not frames:
+                    # The root THEN of a readback run: the eval stage is
+                    # done.
+                    self.stage = (value, self.fuel)
+                frames.append((_EV, layer, value, path))
+                continue
+            # AP1 and ARG end here, once the operand premise has given
+            # arg: contract, or finish the neutral.
+            if head.__class__ is Lam:
+                max_frames = self._contract(layer, head, arg, path, peak)
+            elif arg is appnode.operand and head is appnode.operator:
+                values.append(appnode)
+            else:
+                values.append(App(head, arg))
         return values.pop()
 
     def _contract(self, layer, lam, operand, path, peak):
@@ -628,48 +623,6 @@ class _Machine:
         # those addresses are recorded relative to it.
         self._ptup[id(path)] = (path, ())
 
-    def _fixed_depth(self, walker, operand):
-        """How deep above its start the walk of operand under walker
-        takes the stack, if that walk is known to return operand itself;
-        else None. A variable, or an abstraction under a layer that
-        leaves bodies alone, is its own value at the walk's first EV
-        frame; other operands are looked up in the memo."""
-        cls = operand.__class__
-        if cls is Var or (cls is Lam and walker.la is None):
-            return 1
-        hit = self._fixed.get(id(operand))
-        return None if hit is None or hit[1] is not walker else hit[2]
-
-    def _neu_ar2(self, layer, appnode, mpp, path, peak):
-        """Finish a neutral whose operator walked to mpp; returns the
-        running peak for the frames this leaves on the stack."""
-        ar2 = layer.ar2
-        operand = appnode.operand
-        if ar2 is None:
-            self.values.append(
-                appnode if mpp is appnode.operator else App(mpp, operand))
-            return peak
-        frames = self.frames
-        base = len(frames)
-        then = layer.ar2_then
-        # Neither derivation trees nor a readback (RE) slot, which walks
-        # its operand twice, use the memo.
-        walker = None
-        if then is None and not self.trees:
-            depth = self._fixed_depth(ar2, operand)
-            if depth is not None and base + depth <= self.max_frames:
-                out = appnode if mpp is appnode.operator else App(mpp, operand)
-                self.values.append(out)
-                return max(peak, base + depth)
-            walker = ar2
-        frames.append((_NEU2, appnode, mpp, walker, peak))
-        if self.record:
-            path = ("A", path)
-        if then is not None:
-            frames.append((_THEN, then, path))
-        frames.append((_EV, ar2, operand, path))
-        return base
-
 
 def _pending(anchor, frames, depth):
     """Whether the judgment of the blackhole's anchor is still open on a
@@ -714,7 +667,7 @@ def _same_dag(a, b) -> bool:
 
 def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     """Shared driver over a compiled spec. A readback encoding runs in
-    one walk: its readback layer waits in the root STAGE frame under the
+    one walk: its readback layer waits in the root THEN frame under the
     eval stage."""
     if fuel < 0:
         raise EngineError("fuel budget must be nonnegative")
@@ -722,7 +675,7 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     frames = machine.frames
     root, readback = layers
     if readback is not None:
-        frames.append((_STAGE, readback))
+        frames.append((_THEN, readback, None))
     frames.append((_EV, root, term, None))
     exhausted = False
     result = None

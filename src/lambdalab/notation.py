@@ -281,9 +281,23 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
 
     Each hybrid slot is the composition of the readback slot over the
     eval slot; ar1 and the subsidiary are the eval triple itself. The
-    equivalence is modulo commuting redexes exactly when the eval stage
-    evaluates neutral operands (ar2 = S), because the readback stage then
-    revisits operands the eval stage already ordered differently.
+    composition is the fusion step, written as the passes each slot
+    makes over its premise: eval slot I none and S one eval pass;
+    readback slot I none, E an eval pass, R a readback pass and (RE) an
+    eval pass then a readback pass. The fused slot makes the eval slot's
+    passes, then the readback slot's, and closes only as I (no pass), S
+    (one eval pass) or H (an eval pass then a readback pass, one walk of
+    the hybrid): that is _COMPOSE. R over I is stuck, and E or (RE) over
+    S closes only by eval idempotence; validate rejects both (ER2).
+
+    mcr flags the rows whose eval stage evaluates neutral operands (ar2
+    = S). The staged run evaluates such an operand before the readback
+    walks the operator; the hybrid walks the operator first. Where eval
+    has already evaluated the operator, the readback's walk of it
+    contracts only at its ar2 premises, so the two orders part only
+    when rb.ar2 = R as well: (RE)I.IIS and (RE)I.ISS are flagged but
+    exact. The flag stays ev.ar2 = S, since the benchmark's reference
+    output pins fuse --json, whose summary is [hybrid, alias, mcr].
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)

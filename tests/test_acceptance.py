@@ -53,6 +53,9 @@ from lambdalab.terms import FormClass, ResourceLimitError
 SWEEP_FUEL = 20000
 SWEEP_MAX_NODES = 250000
 FUSION_FUEL = 3000
+# The readback rows that fuse flags mcr though the fusion step derives
+# them exact.
+DERIVED_EXACT = {"(RE)I.IIS", "(RE)I.ISS"}
 ABSORPTION_FUEL = 5000
 
 
@@ -111,6 +114,11 @@ def test_criterion_3_fusion_table(corpus_1337, paper_terms):
         if report.mcr:
             allowed |= {EQUAL_MCR, BOTH_EXHAUSTED_MCR_PREFIX}
         assert set(report.verdicts) <= allowed, print_spec(row.spec)
+        if print_spec(row.spec) in DERIVED_EXACT:
+            # Flagged mcr, but the fusion step needs no reordering here:
+            # that takes ev.ar2 = S and rb.ar2 = R.
+            assert not {EQUAL_MCR, BOTH_EXHAUSTED_MCR_PREFIX} & set(
+                report.verdicts), print_spec(row.spec)
         skipped = (report.verdicts.get(INCONCLUSIVE, 0)
                    + report.verdicts.get("resource", 0))
         if skipped:

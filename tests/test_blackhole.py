@@ -271,8 +271,7 @@ def test_a_skip_under_a_deeper_peak_keeps_the_frame_limit(case, monkeypatch):
     skip = engine._Machine._skip
 
     def spy(machine, anchor, path, peak):
-        stored = [f[5] for f in machine.frames if f[0] == engine._CON2]
-        stored += [f[4] for f in machine.frames if f[0] == engine._NEU2]
+        stored = [f[6] for f in machine.frames if f[0] == engine._ARG]
         seen.append((peak, len(machine.frames), max(stored, default=0)))
         skip(machine, anchor, path, peak)
 

@@ -274,6 +274,39 @@ def test_fuse_mcr_iff_eval_stage_is_strict_on_neutrals():
     assert sum(flags) == 6
 
 
+# The fusion step, slot by slot. A slot is the passes it makes over a
+# premise: e an eval pass, r a readback pass. Fusing readback slot r over
+# eval slot e makes e's passes, then r's; the fused slot closes only as
+# no pass (I), one eval pass (S), or an eval pass then a readback pass,
+# which the hybrid makes as one walk of itself (H). R over I is stuck,
+# and E or (RE) over S closes only by eval idempotence.
+_PASSES = {"I": "", "S": "e", "E": "e", "R": "r", "RE": "er"}
+_CLOSES = {"": "I", "e": "S", "er": "H"}
+
+
+def fused_slot(rb_slot, ev_slot):
+    return _CLOSES.get(_PASSES[ev_slot] + _PASSES[rb_slot])
+
+
+def test_the_fusion_step_derives_the_slot_table_provisos_and_fuse():
+    derived = {(r, e): fused_slot(r, e)
+               for r in ("I", "E", "R", "RE") for e in "IS"}
+    assert {k: v for k, v in derived.items() if v} == notation._COMPOSE
+    valid = 0
+    for rb in all_readbacks():
+        ev = rb.ev
+        la, ar2 = fused_slot(rb.la, ev.la), fused_slot(rb.ar2, ev.ar2)
+        hybrid = la and ar2 and HybridSpec(la, ev.ar1, ar2, ev)
+        closes = bool(hybrid) and hybrid.triple != ev.triple and (
+            validate(hybrid).verdict not in REJECTED)
+        assert (validate(rb).verdict == "valid-readback") == closes, (
+            print_spec(rb))
+        if closes:
+            assert fuse(rb).hybrid == hybrid, print_spec(rb)
+            valid += 1
+    assert valid == len(valid_readbacks()) == 22
+
+
 def test_defuse_examples():
     assert {print_spec(rb) for rb in defuse(parse_spec("hr"))} == {"(RE)I.III"}
     assert {print_spec(rb) for rb in defuse(parse_spec("IIH<>III"))} == {"I(RE).III"}
