@@ -91,10 +91,26 @@ never closes, so every later address descends from the repeat's path
 cell, which sits count periods deeper than it did; the machine records
 the events after the skip relative to that cell, so no address as long
 as the skipped run is deep is built unless it is read.
+
+The cyclic garbage collector is switched off while the machine runs,
+and back on when the run ends, however it ends. The machine makes no
+cycle: a term, frame, address cell, trace event or memo entry points
+only at objects made before it, and the containers that gather newer
+objects (the stacks, the memo tables, a derivation node's premises)
+are reached from nothing they hold. So reference counting frees all of
+it, and a collection during a run finds nothing; a growing run would
+set one off with every few hundred objects it keeps. The collector
+decides nothing a run returns, so the pause is exact. It is
+process-wide: while a run lasts, cyclic garbage made by another thread
+waits until the run ends, and a caller who had turned the collector
+off finds it still off. A thread that switches the collector while
+another thread's run lasts may find the switch undone when that run
+ends.
 """
 
 from __future__ import annotations
 
+import gc
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -679,10 +695,16 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     frames.append((_EV, root, term, None))
     exhausted = False
     result = None
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         result = machine.run()
     except _OutOfFuel:
         exhausted = True
+    finally:
+        if paused:
+            gc.enable()
     trace = events = None
     if machine.record:
         events = tuple(machine.events)

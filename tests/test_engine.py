@@ -1,5 +1,7 @@
 """Evaluator engine: traces, derivations, staging, and replay soundness."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -431,3 +433,95 @@ def test_size_capped_run_hits_max_nodes_either_way(traced, corpus_1337):
                        match="substitution allocation limit exceeded"):
         evaluate("SSI", corpus_1337[527], 20_000, record_trace=traced,
                  max_nodes=250_000)
+
+
+# The machine pauses the cyclic collector while it runs (see the engine
+# docstring). Each case stops a run in its own way; the collector must be
+# back in the caller's state afterwards, however the run ended.
+def _converged(corpus):
+    assert evaluate("bv", "(\\x.#I z) (#I z)").status == CONVERGED
+
+
+def _fuel_exhausted(corpus):
+    assert evaluate("bv", "(\\x.y) #Omega", 100).status == FUEL_EXHAUSTED
+
+
+def _size_capped(corpus):
+    with pytest.raises(ResourceLimitError, match="allocation limit"):
+        evaluate("SSI", corpus[527], max_nodes=20_000)
+
+
+def _frame_limited(corpus):
+    with pytest.raises(ResourceLimitError, match="frame stack limit"):
+        evaluate("no", _FRAME_HUNGRY, 1000)
+
+
+def _substitute_raises(corpus):
+    with pytest.raises(RuntimeError, match="substitute failed"):
+        evaluate("bv", "(\\x.#I z) (#I z)")
+
+
+def _forest_out_of_fuel(corpus):
+    with pytest.raises(EngineError, match="fuel exhausted"):
+        derivation_forest("bv", "(\\x.y) #Omega", fuel=50)
+
+
+_PAUSED_RUNS = {f.__name__[1:]: f for f in (
+    _converged, _fuel_exhausted, _size_capped, _frame_limited,
+    _substitute_raises, _forest_out_of_fuel)}
+
+
+@pytest.fixture
+def collector():
+    """Turns the cyclic collector back on after the test."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("caller_on", (True, False), ids=("on", "off"))
+@pytest.mark.parametrize("run", sorted(_PAUSED_RUNS))
+def test_the_collector_is_paused_only_while_a_run_lasts(
+        run, caller_on, collector, monkeypatch, corpus_1337):
+    seen = []
+    real = engine.substitute
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        if run == "substitute_raises":
+            raise RuntimeError("substitute failed")
+        return real(*args)
+
+    monkeypatch.setattr(engine, "substitute", spy)
+    if run == "frame_limited":
+        monkeypatch.setattr(engine, "MAX_FRAMES", 5)
+    (gc.enable if caller_on else gc.disable)()
+    _PAUSED_RUNS[run](corpus_1337)
+    assert seen and not any(seen)
+    assert gc.isenabled() == caller_on
+
+
+def test_a_run_leaves_no_cyclic_garbage(collector, monkeypatch, corpus_1337):
+    # The premise that makes the pause exact. Guard errors are caught
+    # without binding them: a bound exception can make a cycle through its
+    # traceback.
+    rows, terms = catalogue(), [t for _, t in paper_corpus()]
+    runs = ((evaluate, {"record_trace": False}), (evaluate, {}),
+            (derivation_forest, {}))
+    gc.disable()
+    gc.collect()
+    for row in rows:
+        for term in terms:
+            for run, options in runs:
+                try:
+                    run(row.spec, term, 300, max_nodes=20_000, **options)
+                except (EngineError, ResourceLimitError):
+                    pass
+    _size_capped(corpus_1337)
+    monkeypatch.setattr(engine, "MAX_FRAMES", 5)
+    _frame_limited(corpus_1337)
+    assert gc.collect() == 0
+    # The check can fail: a deliberate cycle is found.
+    loop = []
+    loop.append(loop)
+    del loop
+    assert gc.collect() == 1
