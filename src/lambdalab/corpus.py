@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 
+from .records import FrozenRecord
 from .terms import App, Lam, ParseError, Term, Var, parse_term, print_term
 
 _WEIGHT_VAR = 0.30
@@ -23,8 +23,7 @@ _WEIGHT_APP = 0.35
 _REDEX_BIAS = 0.5
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(FrozenRecord):
     """Knobs for the random term generator.
 
     seed picks the random streams. size_max bounds the node count of
@@ -35,18 +34,29 @@ class GenConfig:
     an abstraction gets a literal one with probability 0.5.
     """
 
-    seed: int
-    size_max: int
-    free_var_pool: tuple[str, ...] = ()
+    __match_args__ = ("seed", "size_max", "free_var_pool")
 
-    def __post_init__(self):
-        if self.size_max < 1:
+    def __init__(self, seed: int, size_max: int,
+                 free_var_pool: tuple[str, ...] = ()):
+        if size_max < 1:
             raise ValueError("size_max must be at least 1")
-        for name in self.free_var_pool:
+        for name in free_var_pool:
             if not _is_variable(name) or re.fullmatch(r"v[0-9]+", name):
                 raise ValueError(f"free variable {name!r} must be a variable "
                                  "of the term grammar not named v<digits>, "
                                  "like the generated binders")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "size_max", size_max)
+        object.__setattr__(self, "free_var_pool", free_var_pool)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.seed, self.size_max, self.free_var_pool)
+                    == (other.seed, other.size_max, other.free_var_pool))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.seed, self.size_max, self.free_var_pool))
 
 
 def _is_variable(name: str) -> bool:

@@ -100,7 +100,11 @@ objects (the stacks, the memo tables, a derivation node's premises)
 are reached from nothing they hold. So reference counting frees all of
 it, and a collection during a run finds nothing; a growing run would
 set one off with every few hundred objects it keeps. The collector
-decides nothing a run returns, so the pause is exact. It is
+decides nothing a run returns, so the pause is exact. A run drops its
+stacks and operand memo before the collector comes back, and a run
+stopped by max_nodes or the frame limit raises its ResourceLimitError
+without the walk's frames in the traceback, so the first collection
+after the pause scans only what the caller keeps. The pause is
 process-wide: while a run lasts, cyclic garbage made by another thread
 waits until the run ends, and a caller who had turned the collector
 off finds it still off. A thread that switches the collector while
@@ -113,7 +117,6 @@ from __future__ import annotations
 import gc
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 
 from .notation import (
@@ -124,6 +127,7 @@ from .notation import (
     print_spec,
     validate,
 )
+from .records import FrozenRecord
 from .terms import (
     App,
     Lam,
@@ -147,14 +151,28 @@ class EngineError(ValueError):
     """Raised for strategies the engine refuses and for broken replays."""
 
 
-@dataclass(slots=True, repr=False)
 class TraceEvent:
     """One beta contraction: its address, redex, and contractum."""
 
-    step_index: int
-    position: tuple[str, ...]
-    redex: Term
-    contractum: Term
+    __slots__ = __match_args__ = ("step_index", "position", "redex",
+                                  "contractum")
+
+    def __init__(self, step_index: int, position: tuple[str, ...],
+                 redex: Term, contractum: Term):
+        self.step_index = step_index
+        self.position = position
+        self.redex = redex
+        self.contractum = contractum
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.step_index, self.position, self.redex,
+                     self.contractum)
+                    == (other.step_index, other.position, other.redex,
+                        other.contractum))
+        return NotImplemented
+
+    __hash__ = None
 
     def __repr__(self):
         pos = "".join(self.position) or "root"
@@ -224,18 +242,34 @@ class Trace(Sequence):
         return f"Trace({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(FrozenRecord):
     """Result of a fuel-bounded run. trace is None when recording was off;
     else it is a Trace, a read-only sequence of the events that equals
     their tuple. stage is the outcome of a readback encoding's eval stage
     once that stage has converged, and None otherwise."""
 
-    status: str
-    result: Term | None
-    trace: Trace | None
-    fuel_used: int
-    stage: Outcome | None = None
+    __match_args__ = ("status", "result", "trace", "fuel_used", "stage")
+
+    def __init__(self, status: str, result: Term | None,
+                 trace: Trace | None, fuel_used: int,
+                 stage: Outcome | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "fuel_used", fuel_used)
+        object.__setattr__(self, "stage", stage)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.status, self.result, self.trace, self.fuel_used,
+                     self.stage)
+                    == (other.status, other.result, other.trace,
+                        other.fuel_used, other.stage))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.status, self.result, self.trace, self.fuel_used,
+                     self.stage))
 
 
 class DerivationNode:
@@ -702,7 +736,14 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
         result = machine.run()
     except _OutOfFuel:
         exhausted = True
+    except ResourceLimitError as exc:
+        # The walk's frames hold its stacks and the substitution's memo
+        # tables (see the module docstring).
+        raise exc.with_traceback(None)
     finally:
+        machine.frames.clear()
+        machine.values.clear()
+        machine._fixed.clear()
         if paused:
             gc.enable()
     trace = events = None

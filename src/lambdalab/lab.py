@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
 
 from .engine import (
     CONVERGED,
@@ -46,6 +45,7 @@ from .notation import (
     print_spec,
     result_form,
 )
+from .records import FrozenRecord, Record
 from .terms import (
     App,
     FormClass,
@@ -77,25 +77,67 @@ COMPARE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class CompareVerdict:
-    kind: str
-    witness: tuple | None = None
+class CompareVerdict(FrozenRecord):
+    __match_args__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: tuple | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.witness) == (other.kind, other.witness)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.witness))
 
 
-@dataclass
-class CorpusReport:
-    a: str
-    b: str
-    seed: int | None
-    fuel: int
-    n: int
-    verdicts: dict[str, int] = field(default_factory=dict)
-    counterexamples: list[dict] = field(default_factory=list)
-    mcr: bool | None = None
+class CorpusReport(Record):
+    """The verdicts of one corpus driver. verdicts and counterexamples
+    default to a new dict and a new list, which the driver fills."""
+
+    __match_args__ = ("a", "b", "seed", "fuel", "n", "verdicts",
+                      "counterexamples", "mcr")
+
+    def __init__(self, a: str, b: str, seed: int | None, fuel: int, n: int,
+                 verdicts: dict[str, int] | None = None,
+                 counterexamples: list[dict] | None = None,
+                 mcr: bool | None = None):
+        self.a = a
+        self.b = b
+        self.seed = seed
+        self.fuel = fuel
+        self.n = n
+        self.verdicts = {} if verdicts is None else verdicts
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.mcr = mcr
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.a, self.b, self.seed, self.fuel, self.n,
+                     self.verdicts, self.counterexamples, self.mcr)
+                    == (other.a, other.b, other.seed, other.fuel, other.n,
+                        other.verdicts, other.counterexamples, other.mcr))
+        return NotImplemented
+
+    __hash__ = None
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "mcr"}
+        """Every field but mcr, copied down to the leaves, so the result
+        shares no dict or list with the report."""
+        return _copied({"a": self.a, "b": self.b, "seed": self.seed,
+                        "fuel": self.fuel, "n": self.n,
+                        "verdicts": self.verdicts,
+                        "counterexamples": self.counterexamples})
+
+
+def _copied(x):
+    if isinstance(x, dict):
+        return {k: _copied(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_copied, x))
+    return x
 
 
 _TERM_STR_LIMIT = 100000

@@ -32,10 +32,10 @@ aliases, is written by hand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 
+from .records import FrozenRecord
 from .terms import FormClass
 
 
@@ -43,33 +43,51 @@ class NotationError(ValueError):
     """Raised for unparseable or structurally impossible encodings."""
 
 
-@dataclass(frozen=True)
-class UniformSpec:
-    la: str
-    ar1: str
-    ar2: str
+class UniformSpec(FrozenRecord):
+    __match_args__ = ("la", "ar1", "ar2")
 
-    def __post_init__(self):
-        for slot in (self.la, self.ar1, self.ar2):
+    def __init__(self, la: str, ar1: str, ar2: str):
+        for slot in (la, ar1, ar2):
             if slot not in ("I", "S"):
                 raise NotationError(f"uniform slot must be I or S, got {slot!r}")
+        object.__setattr__(self, "la", la)
+        object.__setattr__(self, "ar1", ar1)
+        object.__setattr__(self, "ar2", ar2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.la, self.ar1, self.ar2)
+                    == (other.la, other.ar1, other.ar2))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.la, self.ar1, self.ar2))
 
     @property
     def triple(self):
         return (self.la, self.ar1, self.ar2)
 
 
-@dataclass(frozen=True)
-class HybridSpec:
-    la: str
-    ar1: str
-    ar2: str
-    subsidiary: UniformSpec
+class HybridSpec(FrozenRecord):
+    __match_args__ = ("la", "ar1", "ar2", "subsidiary")
 
-    def __post_init__(self):
-        for slot in (self.la, self.ar1, self.ar2):
+    def __init__(self, la: str, ar1: str, ar2: str, subsidiary: UniformSpec):
+        for slot in (la, ar1, ar2):
             if slot not in ("I", "S", "H"):
                 raise NotationError(f"hybrid slot must be I, S or H, got {slot!r}")
+        object.__setattr__(self, "la", la)
+        object.__setattr__(self, "ar1", ar1)
+        object.__setattr__(self, "ar2", ar2)
+        object.__setattr__(self, "subsidiary", subsidiary)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.la, self.ar1, self.ar2, self.subsidiary)
+                    == (other.la, other.ar1, other.ar2, other.subsidiary))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.la, self.ar1, self.ar2, self.subsidiary))
 
     @property
     def triple(self):
@@ -79,18 +97,27 @@ class HybridSpec:
 _READBACK_SLOTS = ("I", "E", "R", "RE")
 
 
-@dataclass(frozen=True)
-class ReadbackSpec:
-    la: str
-    ar2: str
-    ev: UniformSpec
+class ReadbackSpec(FrozenRecord):
+    __match_args__ = ("la", "ar2", "ev")
 
-    def __post_init__(self):
-        for slot in (self.la, self.ar2):
+    def __init__(self, la: str, ar2: str, ev: UniformSpec):
+        for slot in (la, ar2):
             if slot not in _READBACK_SLOTS:
                 raise NotationError(
                     f"readback slot must be I, E, R or (RE), got {slot!r}"
                 )
+        object.__setattr__(self, "la", la)
+        object.__setattr__(self, "ar2", ar2)
+        object.__setattr__(self, "ev", ev)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.la, self.ar2, self.ev)
+                    == (other.la, other.ar2, other.ev))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.la, self.ar2, self.ev))
 
 
 StrategySpec = UniformSpec | HybridSpec | ReadbackSpec
@@ -148,17 +175,40 @@ def alias_of(spec: StrategySpec) -> str | None:
     return _ALIAS_BY_SYSTEMATIC.get(print_spec(spec))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    proviso: str
-    message: str
+class Diagnostic(FrozenRecord):
+    __match_args__ = ("proviso", "message")
+
+    def __init__(self, proviso: str, message: str):
+        object.__setattr__(self, "proviso", proviso)
+        object.__setattr__(self, "message", message)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.proviso, self.message)
+                    == (other.proviso, other.message))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.proviso, self.message))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    spec: StrategySpec
-    verdict: str
-    diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
+class ValidationReport(FrozenRecord):
+    __match_args__ = ("spec", "verdict", "diagnostics")
+
+    def __init__(self, spec: StrategySpec, verdict: str,
+                 diagnostics: tuple[Diagnostic, ...] = ()):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "diagnostics", diagnostics)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.spec, self.verdict, self.diagnostics)
+                    == (other.spec, other.verdict, other.diagnostics))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.spec, self.verdict, self.diagnostics))
 
 
 # The verdicts that reject an encoding: the engine will not run it, fuse
@@ -270,10 +320,20 @@ def validate(spec: StrategySpec | str) -> ValidationReport:
         for _, proviso, _, message in broken))
 
 
-@dataclass(frozen=True)
-class FusionResult:
-    hybrid: HybridSpec
-    mcr: bool
+class FusionResult(FrozenRecord):
+    __match_args__ = ("hybrid", "mcr")
+
+    def __init__(self, hybrid: HybridSpec, mcr: bool):
+        object.__setattr__(self, "hybrid", hybrid)
+        object.__setattr__(self, "mcr", mcr)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.hybrid, self.mcr) == (other.hybrid, other.mcr)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.hybrid, self.mcr))
 
 
 def fuse(spec: ReadbackSpec | str) -> FusionResult:
@@ -340,12 +400,27 @@ def defuse(spec: HybridSpec | str) -> frozenset[ReadbackSpec]:
                      and fuse(row.spec).hybrid == spec)
 
 
-@dataclass(frozen=True)
-class CatalogueEntry:
-    alias: str | None
-    spec: StrategySpec
-    classification: str
-    result_form: FormClass
+class CatalogueEntry(FrozenRecord):
+    __match_args__ = ("alias", "spec", "classification", "result_form")
+
+    def __init__(self, alias: str | None, spec: StrategySpec,
+                 classification: str, result_form: FormClass):
+        object.__setattr__(self, "alias", alias)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "result_form", result_form)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.alias, self.spec, self.classification,
+                     self.result_form)
+                    == (other.alias, other.spec, other.classification,
+                        other.result_form))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alias, self.spec, self.classification,
+                     self.result_form))
 
 
 # The two strategy facts the provisos leave open, written by hand: the

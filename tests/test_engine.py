@@ -30,7 +30,7 @@ from lambdalab import (
     reconstruct_sequence,
     sequence_from_tree,
 )
-from lambdalab import engine
+from lambdalab import engine, terms
 from strategies import closed_terms
 
 SPEC_POOL = ("bn", "bv", "ao", "he", "IIS", "SIS", "no", "hn", "sn", "ha",
@@ -433,6 +433,29 @@ def test_size_capped_run_hits_max_nodes_either_way(traced, corpus_1337):
                        match="substitution allocation limit exceeded"):
         evaluate("SSI", corpus_1337[527], 20_000, record_trace=traced,
                  max_nodes=250_000)
+
+
+@pytest.mark.parametrize("guard", ("max_nodes", "frames"))
+def test_a_guard_error_carries_no_frame_of_the_walk(
+        guard, monkeypatch, corpus_1337):
+    # Those frames hold the run's stacks and the substitution's memo
+    # tables, which would outlive the run for as long as the error does.
+    if guard == "frames":
+        monkeypatch.setattr(engine, "MAX_FRAMES", 5)
+    with pytest.raises(ResourceLimitError) as info:
+        evaluate("SSI", corpus_1337[527], 20_000, max_nodes=20_000)
+    assert str(info.value) == ("substitution allocation limit exceeded"
+                               if guard == "max_nodes"
+                               else "machine frame stack limit exceeded")
+    walk = {engine._Machine.run.__code__, engine._Machine._contract.__code__,
+            terms._subst.__code__, terms._subst_loop.__code__}
+    codes = []
+    tb = info.value.__traceback__
+    while tb is not None:
+        codes.append(tb.tb_frame.f_code)
+        tb = tb.tb_next
+    assert codes and not walk & set(codes)
+    assert info.value.__context__ is None
 
 
 # The machine pauses the cyclic collector while it runs (see the engine
