@@ -30,22 +30,22 @@ frame left beneath the judgment's own frames; a contraction is recorded
 on the innermost open node, and CLOSE gives a node the value its
 judgment produced.
 
-A balanced hybrid over call-by-value walks the same operand objects
-again after every contraction, and they are values by then. So each run
-keeps a memo of the operand walks that returned the operand object
-itself, with the layer that walked it; the next walk of that operand
-under that layer is answered at once, as is the walk of a variable or
-of an abstraction under a layer that leaves bodies alone. That is
-exact. A walk that returns its own input contracted nothing, since
-every node it builds is new or a proper subterm of its input; so the
-walk spent no fuel, recorded no event and allocated nothing, and a
-repeat would do the same. The one way such a walk can still stop a run
-is the frame limit, so each entry keeps the deepest stack its walk
-reached, and a walk that would pass the frame limit is made for real.
-The memo is checked and filled at one place, the application rule's
-one operand premise, which ends in a contraction (ar1) or in a rebuilt
-neutral (ar2). Derivation-tree runs never use the memo, and neither
-does a readback (RE) operand slot, which walks its operand twice.
+A walk of a term that holds no redex returns that term, so the machine
+returns it at once, under any layer, from every EV frame and at the
+application rule's operand premise; a substituted value is not walked
+again at each of its copies, nor a neutral each time it turns up as an
+operand. Each term records when it is made whether it holds a redex,
+and its height h if it does not (see terms). That is exact. Such a walk
+contracts nothing: every operator it walks comes back as itself, so no
+operator ever becomes an abstraction. So it spends no fuel, records no
+event, allocates nothing and returns its input. The one way it can
+still stop a run is the frame limit, and it grows the stack by at most
+two frames a level (MKLAM and THEN, AP1, or ARG and THEN); so a walk
+that opens at stack depth d is skipped only when d + 2h is within the
+limit, and any walk that could pass the limit is made for real. The
+walk of an abstraction under a layer that leaves bodies alone is also
+answered at once, at the operand premise. Derivation-tree runs, whose
+trees have a node for every judgment, walk every term.
 
 The blackhole cuts divergent runs short, as lazy evaluators do when a
 thunk is demanded while it is being evaluated (Peyton Jones, The
@@ -75,11 +75,10 @@ fuel, max_nodes and the frame limit all leave room for, but one: it
 takes their fuel and allocations and lowers the frame limit by their
 growth. The rest runs for real, so which guard stops the run, and
 where, is what it was. The frame limit's room is measured from the
-running peak alone. The repeat never closes, so no frame on the stack
-when it opens ever pops again, and no peak those frames keep for the
-operand walks around them can become the running peak again. The
-lowered limit stays at least one period above the running peak, and
-that is all later checks and memo hits compare it with. A run that
+running peak: the deepest the stack has reached, or a skipped walk has
+bounded, since the run began. It is never below the stack, and the
+lowered limit stays at least one period above it, so every later check
+still fires exactly when the stack passes the limit. A run that
 grows instead of repeating is not cut short.
 
 The trace records a skip once, as the period's own events and the
@@ -94,14 +93,14 @@ as the skipped run is deep is built unless it is read.
 
 The cyclic garbage collector is switched off while the machine runs,
 and back on when the run ends, however it ends. The machine makes no
-cycle: a term, frame, address cell, trace event or memo entry points
-only at objects made before it, and the containers that gather newer
-objects (the stacks, the memo tables, a derivation node's premises)
+cycle: a term, frame, address cell or trace event points only at
+objects made before it, and the containers that gather newer objects
+(the stacks, the memo tables, a derivation node's premises)
 are reached from nothing they hold. So reference counting frees all of
 it, and a collection during a run finds nothing; a growing run would
 set one off with every few hundred objects it keeps. The collector
 decides nothing a run returns, so the pause is exact. A run drops its
-stacks and operand memo before the collector comes back, and a run
+stacks before the collector comes back, and a run
 stopped by max_nodes or the frame limit raises its ResourceLimitError
 without the walk's frames in the traceback, so the first collection
 after the pause scans only what the caller keeps. The pause is
@@ -172,7 +171,9 @@ class TraceEvent:
                         other.contractum))
         return NotImplemented
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.step_index, self.position, self.redex,
+                     self.contractum))
 
     def __repr__(self):
         pos = "".join(self.position) or "root"
@@ -192,7 +193,9 @@ class Trace(Sequence):
     + j is event start + c*length + j, at head + step*c + that event's
     address past head, with its redex and contractum objects. The events
     after the copies are stored with addresses relative to head +
-    step*(count+1). Every event past the period is built when read."""
+    step*(count+1). Every event past the period is built when read. A
+    trace hashes by its length and its first event, which is stored, so
+    hashing builds no event; the equal tuple hashes otherwise."""
 
     __slots__ = ("_events", "skip", "_len")
 
@@ -237,6 +240,9 @@ class Trace(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(
             a is b or a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash((self._len, self[0] if self._len else None))
 
     def __repr__(self):
         return f"Trace({tuple(self)!r})"
@@ -422,10 +428,6 @@ class _Machine:
         # (value, fuel left) when a readback run's eval stage converged.
         self.stage = None
         self._ptup = {}
-        # id(operand) -> (operand, layer, depth) for an operand walk that
-        # returned its own input; the entry pins the operand alive. A
-        # later such walk of the object by another layer replaces it.
-        self._fixed = {}
         # The blackhole's anchor (see the module docstring), as (depth,
         # frame beneath, key, term, fuel, alloc, event count, path), and
         # its span; span is None once a skip is made or ruled out.
@@ -464,12 +466,12 @@ class _Machine:
         trees = self.trees
         opened = self.opened
         max_frames = self.max_frames
-        fixed = self._fixed
         # Only a recording run reads an address, so only it builds them;
         # in other runs every path is None.
         addressed = self.record
-        # The deepest stack an EV frame has seen since the innermost open
-        # operand walk began; never above max_frames.
+        # The deepest stack an EV frame has reached, or a skipped walk
+        # of a term with no redex has bounded, since the run began; never
+        # above max_frames.
         peak = 0
         while frames:
             frame = frames.pop()
@@ -488,20 +490,27 @@ class _Machine:
                     opened.append(node)
                     frames.append((_CLOSE,))
                 cls = t.__class__
-                if cls is Var:
+                if cls is Var or (cls is Lam and layer.la is None):
                     values.append(t)
-                elif cls is Lam:
-                    la = layer.la
-                    if la is None:
+                    continue
+                h = t._height
+                if h is not None and not trees:
+                    # t holds no redex: its walk returns t (see the
+                    # module docstring).
+                    h += h + depth
+                    if h <= max_frames:
+                        if h > peak:
+                            peak = h
                         values.append(t)
-                    else:
-                        frames.append((_MKLAM, t))
-                        if addressed:
-                            path = ("B", path)
-                        then = layer.la_then
-                        if then is not None:
-                            frames.append((_THEN, then, path))
-                        frames.append((_EV, la, t.body, path))
+                        continue
+                if cls is Lam:
+                    frames.append((_MKLAM, t))
+                    if addressed:
+                        path = ("B", path)
+                    then = layer.la_then
+                    if then is not None:
+                        frames.append((_THEN, then, path))
+                    frames.append((_EV, layer.la, t.body, path))
                 else:
                     frames.append((_AP1, layer, t, path, layer.op2))
                     frames.append((_EV, layer.op1, t.operator,
@@ -530,41 +539,31 @@ class _Machine:
                     then = layer.ar2_then
                 arg = appnode.operand
                 if walker is not None:
-                    # The operand premise. Neither derivation trees nor a
-                    # readback (RE) slot, which walks its operand twice,
-                    # use the memo. A variable, or an abstraction under a
-                    # layer that leaves bodies alone, is its own value at
-                    # the walk's first EV frame.
-                    base = len(frames)
-                    depth = None
-                    memo = walker if then is None and not trees else None
-                    if memo is not None:
-                        cls = arg.__class__
-                        if cls is Var or (cls is Lam and walker.la is None):
-                            depth = 1
-                        else:
-                            hit = fixed.get(id(arg))
-                            if hit is not None and hit[1] is walker:
-                                depth = hit[2]
-                    if depth is None or base + depth > max_frames:
-                        frames.append((_ARG, layer, appnode, head, path,
-                                       memo, peak))
-                        peak = base
+                    # The operand premise. Outside tree runs, an operand
+                    # with no redex, or an abstraction under a layer that
+                    # leaves bodies alone and no THEN, is its own value;
+                    # its walk would open on ARG and THEN.
+                    reach = None
+                    if not trees:
+                        h = arg._height
+                        if h is not None:
+                            reach = len(frames) + 2 + h + h
+                        elif (then is None and arg.__class__ is Lam
+                              and walker.la is None):
+                            reach = len(frames) + 1
+                    if reach is None or reach > max_frames:
+                        frames.append((_ARG, layer, appnode, head, path))
                         if addressed:
                             path = ("A", path)
                         if then is not None:
                             frames.append((_THEN, then, path))
                         frames.append((_EV, walker, arg, path))
                         continue
-                    if base + depth > peak:
-                        peak = base + depth
+                    if reach > peak:
+                        peak = reach
             elif op == _ARG:
-                _, layer, appnode, head, path, memo, outer = frame
+                _, layer, appnode, head, path = frame
                 arg = values.pop()
-                if arg is appnode.operand and memo is not None:
-                    fixed[id(arg)] = (arg, memo, peak - len(frames))
-                if outer > peak:
-                    peak = outer
             elif op == _CLOSE:
                 opened.pop().output = values[-1]
                 continue
@@ -637,9 +636,10 @@ class _Machine:
         at the top of the stack, whose path cell is path: the run
         repeats the period between the two for as long as it lasts.
         Account for all its whole periods but the last, as if they had
-        run, and leave the rest to the machine. peak is the running
-        peak of the innermost open operand walk, the only peak a later
-        step reads (see the module docstring)."""
+        run, and leave the rest to the machine. peak, the running peak
+        (see the module docstring), is never below the stack nor above
+        the frame limit, so the room it leaves can only be too small,
+        and a period left out of the skip runs for real."""
         depth0, _, _, _, fuel0, alloc0, count0, path0 = anchor
         self.anchor = self.span = None
         frames = self.frames
@@ -743,7 +743,6 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     finally:
         machine.frames.clear()
         machine.values.clear()
-        machine._fixed.clear()
         if paused:
             gc.enable()
     trace = events = None

@@ -6,7 +6,12 @@ with a deterministic trailing-number freshening scheme, so two runs over
 the same inputs always pick the same names.
 
 Every node gets its set of free variables when it is made, from its
-children's, so free_vars walks nothing.
+children's, so free_vars walks nothing. It also gets _height: its
+height if it holds no redex (a variable is 0, a node is one more than
+its highest child) and None if it does, which lets an evaluator return
+such a term at once (see the engine). A node's _hash keeps 60 bits,
+the most a two-digit CPython int holds: 32 bytes, where a full 64-bit
+hash takes a 48-byte block, which pays for the new slot.
 
 Divergent terms routinely grow very deep before an evaluator's fuel runs
 out, and none of these helpers may crash on such terms. Equality, alpha
@@ -37,6 +42,9 @@ class ParseError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Raised when an evaluation exceeds a machine guard (not fuel)."""
+
+
+_MASK = (1 << 60) - 1  # node hashes keep 60 bits
 
 
 class Term:
@@ -89,11 +97,12 @@ _VAR_FV: dict[str, frozenset[str]] = {}
 
 
 class Var(Term):
-    __slots__ = ("name", "_hash", "_fv")
+    __slots__ = ("name", "_hash", "_fv", "_height")
 
     def __init__(self, name: str):
         self.name = name
-        self._hash = hash(("v", name))
+        self._hash = hash(("v", name)) & _MASK
+        self._height = 0
         fv = _VAR_FV.get(name)
         if fv is None:
             fv = _VAR_FV[name] = frozenset((name,))
@@ -101,23 +110,32 @@ class Var(Term):
 
 
 class Lam(Term):
-    __slots__ = ("param", "body", "_hash", "_fv")
+    __slots__ = ("param", "body", "_hash", "_fv", "_height")
 
     def __init__(self, param: str, body: Term):
         self.param = param
         self.body = body
-        self._hash = hash(("l", param, body._hash))
+        self._hash = hash(("l", param, body._hash)) & _MASK
+        h = body._height
+        self._height = None if h is None else h + 1
         fv = body._fv
         self._fv = fv.difference((param,)) if param in fv else fv
 
 
 class App(Term):
-    __slots__ = ("operator", "operand", "_hash", "_fv")
+    __slots__ = ("operator", "operand", "_hash", "_fv", "_height")
 
     def __init__(self, operator: Term, operand: Term):
         self.operator = operator
         self.operand = operand
-        self._hash = hash(("a", operator._hash, operand._hash))
+        self._hash = hash(("a", operator._hash, operand._hash)) & _MASK
+        # None or a small int, which CPython shares up to 256, so most
+        # nodes hold no int of their own.
+        g = operator._height
+        h = operand._height
+        self._height = (None if g is None or h is None
+                        or operator.__class__ is Lam
+                        else g + 1 if g > h else h + 1)
         # Where a child's set is the answer it is shared, not copied.
         a = operator._fv
         b = operand._fv

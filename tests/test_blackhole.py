@@ -233,10 +233,9 @@ def test_divergent_derivation_fails_fast(limits, error, message, monkeypatch):
 # Two runs that skip with a deep stack behind them. Under bv, the
 # D-spine x99 (x98 (... (x0 ((\q.q) w)))) is an operand walked 100
 # frames deep before the divergent operand runs, so the walk around the
-# repeat keeps a stored peak far above the running one. Under bn, the
+# repeat has reached far above the stack at the repeat. Under bn, the
 # operator walk of 100 applications of \a0. ... \a99. W W, with
-# W = \x.x x x, leaves the running peak itself far above the stack at
-# the repeat, and no operand walk resets it.
+# W = \x.x x x, leaves the running peak itself far above that stack.
 _SPINE = "(\\q.q) w"
 for _i in range(100):
     _SPINE = f"x{_i} ({_SPINE})"
@@ -263,22 +262,21 @@ def _limited(spec, term, fuel):
 
 @pytest.mark.parametrize("case", _DEEP_PEAKS)
 def test_a_skip_under_a_deeper_peak_keeps_the_frame_limit(case, monkeypatch):
-    # The skip bounds its periods by the running peak alone: the peaks
-    # the open walks keep belong to frames beneath the repeat, which
-    # never pop again.
+    # The skip bounds its periods by the running peak, which covers
+    # every depth the run has reached or bounded, the walks beneath the
+    # repeat included, and never passes the frame limit.
     spec, term = _DEEP_PEAKS[case]
     seen = []
     skip = engine._Machine._skip
 
     def spy(machine, anchor, path, peak):
-        stored = [f[6] for f in machine.frames if f[0] == engine._ARG]
-        seen.append((peak, len(machine.frames), max(stored, default=0)))
+        seen.append((peak, len(machine.frames)))
         skip(machine, anchor, path, peak)
 
     monkeypatch.setattr(engine._Machine, "_skip", spy)
     assert evaluate(spec, term, 3000).status == FUEL_EXHAUSTED
-    [(peak, depth, stored)] = seen
-    assert stored > peak if case == "stored" else peak > depth + 50
+    [(peak, depth)] = seen
+    assert depth + 50 < peak <= engine.MAX_FRAMES
     monkeypatch.setattr(engine._Machine, "_skip", skip)
 
     for fuel in (3000, 500):

@@ -328,17 +328,17 @@ def test_contracta_are_beta_reducts(spec, term):
         assert oracle.to_db(event.contractum) == want
 
 
-# The machine answers an operand walk at once when the operand is a
-# variable, an abstraction its layer leaves alone, or an object the same
-# layer already walked to itself in this run. Derivation trees never take
-# that fast path, so they are the reference for it.
+# The machine answers a walk at once when its term holds no redex, and an
+# operand walk when the operand is an abstraction its layer leaves alone.
+# Derivation trees never take that fast path, so they are the reference
+# for it.
 _MEMO_ROWS = (("sn", "sn"), ("am", "am"), ("bv", "bv"), ("ha", "ha"),
               ("byValue", "bv"), ("(RE)I.ISS", "bv"))
 
 _SHARED_OPERANDS = tuple(map(parse_term, (
     # Both copies of f's body are one object, so the second copy's
     # operand walks (a neutral's, then a redex's) meet operands that the
-    # first copy's walks did not leave fixed.
+    # first copy's walks have already walked, some to themselves.
     "(\\f. f c (f c)) (\\x. y ((\\v.v) ((\\a.a) z)))",
     # sn's subsidiary leaves the argument fixed, and the hybrid then
     # walks the same object as a neutral's operand and reduces inside it.
@@ -380,8 +380,16 @@ def test_strict_hybrid_factorial_of_five(row):
 # walk of s t; its second walk, under the k's, is the deepest of the run.
 _DEEP_REWALK = "(\\f. f c (k (k (f c)))) (\\x. h (p (q (q r)) (s t)))"
 
-# The smallest engine.MAX_FRAMES each run passes with, as the machine without
-# the operand memo gave it; a memo hit must not move it.
+# Terms with no redex, 60 levels deep: an operand that \x.x x copies,
+# and a body that \x.x returns.
+_DEEP_NEUTRAL = "z"
+for _i in range(60):
+    _DEEP_NEUTRAL = f"y{_i} ({_DEEP_NEUTRAL})"
+_DEEP_OPERAND = f"(\\x.x x) ({_DEEP_NEUTRAL})"
+_DEEP_BODY = "(\\x.x) (" + "".join(f"\\a{i}." for i in range(60)) + "a0 b)"
+
+# The smallest engine.MAX_FRAMES each run passes with, as the machine that
+# walked every term gave it; returning a term at once must not move it.
 _FRAME_EDGES = {
     "sn-4": ("sn", factorial_term("sn", 4), 29),
     "am-4": ("am", factorial_term("am", 4), 29),
@@ -389,6 +397,14 @@ _FRAME_EDGES = {
     "am-5": ("am", factorial_term("am", 5), 126),
     "bv-rewalk": ("bv", _DEEP_REWALK, 8),
     "ha-rewalk": ("ha", _DEEP_REWALK, 8),
+    "bv-operand": ("bv", _DEEP_OPERAND, 61),
+    "hn-operand": ("hn", _DEEP_OPERAND, 61),
+    "SSI-operand": ("SSI", _DEEP_OPERAND, 3),
+    "readback-operand": ("(RE)(RE).ISI", _DEEP_OPERAND, 62),
+    "bv-body": ("bv", _DEEP_BODY, 1),
+    "hn-body": ("hn", _DEEP_BODY, 61),
+    "SSI-body": ("SSI", _DEEP_BODY, 62),
+    "readback-body": ("(RE)(RE).ISI", _DEEP_BODY, 62),
 }
 
 
@@ -402,6 +418,16 @@ def test_operand_memo_keeps_the_frame_limit_exact(case, monkeypatch):
     monkeypatch.setattr(engine, "MAX_FRAMES", edge)
     outcome = evaluate(row, term, record_trace=False)
     assert outcome.status == CONVERGED
+
+
+@pytest.mark.parametrize("case", _FRAME_EDGES)
+def test_a_run_at_its_frame_edge_keeps_its_whole_outcome(case, monkeypatch):
+    # The trace, result and eval stage at the edge are those of a run
+    # with room to spare.
+    row, term, edge = _FRAME_EDGES[case]
+    spare = evaluate(row, term)
+    monkeypatch.setattr(engine, "MAX_FRAMES", edge)
+    assert evaluate(row, term) == spare
 
 
 # Only a recording run builds addresses, so the untraced walk pushes no

@@ -93,3 +93,23 @@ def test_items_outside_the_universe_are_refused(ctxs, item, workload):
     assert isinstance(exc.value.code, str)  # a message, so exit status 1
     assert exc.value.code.startswith(item + ":")
     assert workload in exc.value.code
+
+
+@pytest.mark.parametrize("seconds, shown", [
+    (0.0000734, "0.07340"), (0.000101, "0.1010"), (0.0125, "12.50"),
+    (0.3456, "345.6"), (1.5, "1500"), (12.3456, "12346"), (0.0, "0.000"),
+])
+def test_medians_print_in_milliseconds_to_four_digits(seconds, shown):
+    assert interleave.milliseconds(seconds) == shown
+
+
+def test_the_printed_line_shows_a_fusion_item_apart_from_zero():
+    # A fusion item takes tens of microseconds; both sides used to read
+    # 0.0001 seconds.
+    got = interleave.summarise({"fusion:byValue:neutral-operand": {
+        "parent": [0.0000734, 0.0000741, 0.0000729],
+        "change": [0.0000651, 0.0000660, 0.0000648]}})
+    line = interleave.line("fusion:byValue:neutral-operand",
+                           got["fusion:byValue:neutral-operand"])
+    assert line.split() == ["fusion:byValue:neutral-operand", "0.07340",
+                            "0.06510", "0.889", "0.888", "0.890", "3/3"]

@@ -23,6 +23,7 @@ from lambdalab import (
     Var,
     alpha_eq,
     builtins,
+    catalogue,
     churchN,
     classify,
     evaluate,
@@ -571,3 +572,72 @@ def test_fresh_var_avoids_used(used):
     got = fresh_var(used, "x")
     assert got not in used
     assert got == fresh_var(used, "x")
+
+
+def slot_reference(t, memo):
+    """(t's height, whether t holds a redex), by plain recursion from the
+    definitions: a variable has height 0, any other node one more than
+    its highest child, and a redex is an application whose operator is
+    an abstraction. memo maps id(node) to (node, answer)."""
+    got = memo.get(id(t))
+    if got is not None:
+        return got[1]
+    if type(t) is Var:
+        answer = (0, False)
+    elif type(t) is Lam:
+        height, redex = slot_reference(t.body, memo)
+        answer = (height + 1, redex)
+    else:
+        (g, r), (h, s) = (slot_reference(t.operator, memo),
+                          slot_reference(t.operand, memo))
+        answer = (max(g, h) + 1, r or s or type(t.operator) is Lam)
+    memo[id(t)] = (t, answer)
+    return answer
+
+
+def check_slots(t, memo):
+    """Every node of t holds its height if it holds no redex and None if
+    it does, and a 60-bit hash that an equal copy shares."""
+    for node in nodes(t):
+        height, redex = slot_reference(node, memo)
+        assert node._height == (None if redex else height)
+        assert 0 <= hash(node) < 2**60
+        copy = copy_term(node)
+        assert copy == node and hash(copy) == hash(node)
+
+
+@given(terms())
+def test_each_node_records_its_height_unless_it_holds_a_redex(t):
+    memo = {}
+    check_slots(t, memo)
+    for _, contractum in contractions(t):
+        check_slots(contractum, memo)
+
+
+def test_corpus_terms_record_their_heights(corpus_1337):
+    memo = {}
+    for t in corpus_1337:
+        check_slots(t, memo)
+
+
+def test_every_contractum_and_result_records_its_height(paper_terms):
+    memo = {}
+    checked = 0
+    for row in catalogue():
+        for term in paper_terms.values():
+            outcome = evaluate(row.spec, term, 300, max_nodes=100_000)
+            for event in outcome.trace:
+                check_slots(event.contractum, memo)
+            if outcome.result is not None:
+                check_slots(outcome.result, memo)
+            checked += 1
+    assert checked == 63 * 13
+
+
+@pytest.mark.parametrize("build", [deep_spine, deep_binders])
+def test_deep_terms_record_heights_past_the_small_ints(build):
+    t = build()
+    assert t._height == DEEP + 1 if build is deep_binders else DEEP
+    redex = App(Lam("x", Var("x")), t)
+    assert redex._height is None
+    assert Lam("z", App(Var("z"), redex))._height is None

@@ -96,9 +96,10 @@ def test_a_trace_compares_like_its_tuple():
         assert trace != other and other != trace
         assert not (trace == other) and not (other == trace)
     assert trace != list(flat) and list(flat) != trace
-    for unhashable in (trace, flat):
-        with pytest.raises(TypeError):
-            hash(unhashable)
+    # A trace hashes by its length and first event, an equal trace alike.
+    assert hash(trace) == hash(again) == hash((len(flat), flat[0]))
+    assert hash(shorter) != hash(trace)
+    assert hash(flat) == hash(tuple(again))
     converged = evaluate("bn", "(\\x.x) y").trace
     assert converged.skip is None
     assert converged == (converged[0],) and converged != ()
@@ -330,3 +331,26 @@ def test_a_compare_that_parts_early_takes_few_events(monkeypatch):
          "redex": "(\\x.(\\w.w) (x x)) \\x.(\\w.w) (x x)",
          "contractum": "(\\w.w) ((\\x.(\\w.w) (x x)) \\x.(\\w.w) (x x))"}]
     assert taken == [3]
+
+
+def test_outcomes_and_verdicts_that_hold_events_hash():
+    outcome = evaluate("bv", "(\\x.x) y")
+    assert hash(outcome) == hash(evaluate("bv", "(\\x.x) y"))
+    assert {outcome: 1}[evaluate("bv", parse_term("(\\x.x) y"))] == 1
+    verdict = compare("bn", "no", "(\\x.\\w.x) ((\\a.a) z)")
+    assert verdict.kind == DIFFER and verdict.witness is not None
+    assert hash(verdict) == hash(compare("bn", "no",
+                                         "(\\x.\\w.x) ((\\a.a) z)"))
+    staged = evaluate("byValue", "x ((\\a.a) u1)")
+    assert staged.stage is not None
+    assert hash(staged) == hash(evaluate("byValue", "x ((\\a.a) u1)"))
+
+
+def test_hashing_a_skipped_trace_builds_no_event(monkeypatch):
+    outcome, again = (evaluate("bn", "#Omega", 100_000) for _ in range(2))
+    assert outcome.trace.skip is not None
+    built = []
+    monkeypatch.setattr(engine, "TraceEvent",
+                        lambda *args: built.append(args) or TraceEvent(*args))
+    assert hash(outcome) == hash(again)
+    assert built == []

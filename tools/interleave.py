@@ -25,9 +25,9 @@ Outside the span, Context.check compares the change's outcome with
 perfbench/reference and tests/oracle.py; the oracle is bound to the
 change's term classes, so the parent is not checked. A failed check
 stops the script with exit status 1. It prints, per item, each side's
-median seconds, the median of the per-round change/parent ratios with
-its quartiles, and the change's wins. Standard library only; run from
-the root of a checkout.
+median in milliseconds to four significant digits, the median of the
+per-round change/parent ratios with its quartiles, and the change's
+wins. Standard library only; run from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import argparse
 import gc
 import importlib
 import io
+import math
 import os
 import statistics
 import subprocess
@@ -158,6 +159,23 @@ def interleave(runs, refs, rounds, clock):
             for item, sp in spans.items()}
 
 
+def milliseconds(seconds):
+    """seconds in milliseconds to four significant digits, or to the
+    millisecond from 10 s up, with no exponent: 0.0000734 s is 0.07340
+    and 12.3456 s is 12346."""
+    ms = seconds * 1000
+    digits = 3 - math.floor(math.log10(abs(ms))) if ms else 3
+    return f"{ms:.{max(digits, 0)}f}"
+
+
+def line(item, s):
+    """The printed line of one item's figures s, from summarise()."""
+    return (f"{item:28} {milliseconds(s['parent_s']):>9} "
+            f"{milliseconds(s['change_s']):>9} {s['ratio']:7.3f} "
+            f"{s['ratio_q1']:6.3f} {s['ratio_q3']:6.3f}"
+            f"  {s['wins']}/{s['rounds']}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -191,12 +209,10 @@ def main(argv=None):
         clock.stop()
     if timings is None:
         return 1
-    print(f"{'item':28} {'parent s':>9} {'change s':>9} {'ratio':>7} "
+    print(f"{'item':28} {'parent ms':>9} {'change ms':>9} {'ratio':>7} "
           f"{'q1':>6} {'q3':>6}  wins")
     for item, s in summarise(timings).items():
-        print(f"{item:28} {s['parent_s']:9.4f} {s['change_s']:9.4f} "
-              f"{s['ratio']:7.3f} {s['ratio_q1']:6.3f} {s['ratio_q3']:6.3f}"
-              f"  {s['wins']}/{s['rounds']}")
+        print(line(item, s))
     return 0
 
 
