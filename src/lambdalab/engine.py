@@ -71,15 +71,17 @@ pending anchor moves. Once the two occurrences match, the period
 between them is exact: its fuel, its allocations, its growth of the
 stack, the path it adds to every address and its events repeat
 unchanged. The machine then accounts for all the whole periods that
-fuel, max_nodes and the frame limit all leave room for, but one: it
-takes their fuel and allocations and lowers the frame limit by their
-growth. The rest runs for real, so which guard stops the run, and
-where, is what it was. The frame limit's room is measured from the
-running peak: the deepest the stack has reached, or a skipped walk has
-bounded, since the run began. It is never below the stack, and the
-lowered limit stays at least one period above it, so every later check
-still fires exactly when the stack passes the limit. A run that
-grows instead of repeating is not cut short.
+fuel and max_nodes leave room for, but one: it takes their fuel and
+allocations and lowers the frame limit by their growth of the stack, so
+every later depth is compared with the limit as the full walk compares
+that depth plus the skipped growth. The rest runs for real. The frame
+limit bounds no skip: each period's stack is its predecessor's plus the
+same rise, so the first period run for real after the skip goes deeper
+than any period it skipped, and the skip always leaves it a whole
+period of fuel and allocations to get there. A frame error that a
+skipped period would have raised is raised by that first real period,
+so which guard stops the run is what it was. A run that grows instead
+of repeating is not cut short.
 
 The trace records a skip once, as the period's own events and the
 record (start, period length, count, head address, step), and builds
@@ -469,21 +471,15 @@ class _Machine:
         # Only a recording run reads an address, so only it builds them;
         # in other runs every path is None.
         addressed = self.record
-        # The deepest stack an EV frame has reached, or a skipped walk
-        # of a term with no redex has bounded, since the run began; never
-        # above max_frames.
-        peak = 0
         while frames:
             frame = frames.pop()
             op = frame[0]
             if op == _EV:
                 _, layer, t, path = frame
                 depth = len(frames)
-                if depth > peak:
-                    if depth > max_frames:
-                        raise ResourceLimitError(
-                            "machine frame stack limit exceeded")
-                    peak = depth
+                if depth > max_frames:
+                    raise ResourceLimitError(
+                        "machine frame stack limit exceeded")
                 if trees:
                     node = DerivationNode(t)
                     opened[-1].premises.append(node)
@@ -497,10 +493,7 @@ class _Machine:
                 if h is not None and not trees:
                     # t holds no redex: its walk returns t (see the
                     # module docstring).
-                    h += h + depth
-                    if h <= max_frames:
-                        if h > peak:
-                            peak = h
+                    if depth + h + h <= max_frames:
                         values.append(t)
                         continue
                 if cls is Lam:
@@ -542,7 +535,14 @@ class _Machine:
                     # The operand premise. Outside tree runs, an operand
                     # with no redex, or an abstraction under a layer that
                     # leaves bodies alone and no THEN, is its own value;
-                    # its walk would open on ARG and THEN.
+                    # its walk would open on ARG and THEN. A bound of
+                    # 1 + 2h would decide the same: it is short only for
+                    # a variable under a readback's (RE) operand slot,
+                    # whose eval walk pops at len(frames) + 2, and the
+                    # eval walk that built this neutral, a frame deeper
+                    # than the readback layer at every address, has
+                    # popped its operator that deep already, or returned
+                    # it at once, as the readback layer then does too.
                     reach = None
                     if not trees:
                         h = arg._height
@@ -559,8 +559,6 @@ class _Machine:
                             frames.append((_THEN, then, path))
                         frames.append((_EV, walker, arg, path))
                         continue
-                    if reach > peak:
-                        peak = reach
             elif op == _ARG:
                 _, layer, appnode, head, path = frame
                 arg = values.pop()
@@ -579,14 +577,14 @@ class _Machine:
             # AP1 and ARG end here, once the operand premise has given
             # arg: contract, or finish the neutral.
             if head.__class__ is Lam:
-                max_frames = self._contract(layer, head, arg, path, peak)
+                max_frames = self._contract(layer, head, arg, path)
             elif arg is appnode.operand and head is appnode.operator:
                 values.append(appnode)
             else:
                 values.append(App(head, arg))
         return values.pop()
 
-    def _contract(self, layer, lam, operand, path, peak):
+    def _contract(self, layer, lam, operand, path):
         """Contract lam applied to operand, at path, and push the
         contractum's judgment under layer, consulting the blackhole on
         every 16th contraction. Returns the frame limit, which a skip
@@ -605,11 +603,11 @@ class _Machine:
             if self.trees:
                 self.opened[-1].event = event
         if not fuel & 15 and self.span:
-            self._blackhole(layer, contractum, path, peak)
+            self._blackhole(layer, contractum, path)
         self.frames.append((_EV, layer, contractum, path))
         return self.max_frames
 
-    def _blackhole(self, layer, contractum, path, peak):
+    def _blackhole(self, layer, contractum, path):
         """Compare the judgment of contractum under layer, about to open
         on top of the stack, with the anchor: skip the run's remaining
         whole periods if it repeats the pending anchor with the same
@@ -621,7 +619,7 @@ class _Machine:
         anchor = self.anchor
         if anchor is not None and _pending(anchor, frames, depth):
             if anchor[2] == key and _same_dag(anchor[3], contractum):
-                self._skip(anchor, path, peak)
+                self._skip(anchor, path)
                 return
             if anchor[4] - self.fuel < self.span:
                 return
@@ -631,15 +629,15 @@ class _Machine:
                        None if self.events is None else len(self.events),
                        path)
 
-    def _skip(self, anchor, path, peak):
+    def _skip(self, anchor, path):
         """The judgment of anchor has opened again, with the same sharing,
         at the top of the stack, whose path cell is path: the run
         repeats the period between the two for as long as it lasts.
-        Account for all its whole periods but the last, as if they had
-        run, and leave the rest to the machine. peak, the running peak
-        (see the module docstring), is never below the stack nor above
-        the frame limit, so the room it leaves can only be too small,
-        and a period left out of the skip runs for real."""
+        Account for all the whole periods that fuel and max_nodes leave
+        room for but the last, as if they had run, lower the frame limit
+        by their rise, and leave the rest to the machine. The limit may
+        fall below the stack; the first real period then raises the frame
+        error a skipped one would have (see the module docstring)."""
         depth0, _, _, _, fuel0, alloc0, count0, path0 = anchor
         self.anchor = self.span = None
         frames = self.frames
@@ -649,8 +647,6 @@ class _Machine:
         periods = self.fuel // step
         if grown:
             periods = min(periods, self.alloc[0] // grown)
-        if rise:
-            periods = min(periods, (self.max_frames - peak) // rise)
         k = int(periods) - 1
         if k < 1:
             return

@@ -232,52 +232,70 @@ def test_divergent_derivation_fails_fast(limits, error, message, monkeypatch):
 
 # Two runs that skip with a deep stack behind them. Under bv, the
 # D-spine x99 (x98 (... (x0 ((\q.q) w)))) is an operand walked 100
-# frames deep before the divergent operand runs, so the walk around the
-# repeat has reached far above the stack at the repeat. Under bn, the
-# operator walk of 100 applications of \a0. ... \a99. W W, with
-# W = \x.x x x, leaves the running peak itself far above that stack.
+# frames deep before the divergent operand runs. Under bn, the operator
+# walk of 100 applications of \a0. ... \a99. W W, with W = \x.x x x,
+# goes as deep. Either way the walk has reached far above the stack at
+# the repeat.
 _SPINE = "(\\q.q) w"
 for _i in range(100):
     _SPINE = f"x{_i} ({_SPINE})"
 _BINDERS = "".join(f"\\a{i}." for i in range(100))
-_DEEP_PEAKS = {
-    "stored": ("bv", f"(\\a.\\z.y) ({_SPINE}) "
-                     "((\\x.f (x x)) (\\x.f (x x)))"),
-    "running": ("bn", "(" * 100 + f"({_BINDERS}(\\x.x x x) (\\x.x x x))"
-                      + " p)" * 100),
+_DEEP_WALKS = {
+    "operand": ("bv", f"(\\a.\\z.y) ({_SPINE}) "
+                      "((\\x.f (x x)) (\\x.f (x x)))"),
+    "operator": ("bn", "(" * 100 + f"({_BINDERS}(\\x.x x x) (\\x.x x x))"
+                       + " p)" * 100),
 }
 
 
-def _no_skip(machine, anchor, path, peak):
+def _no_skip(machine, anchor, path):
     machine.anchor = machine.span = None
 
 
-def _limited(spec, term, fuel):
+def _limited(spec, term, fuel, traced=True):
     try:
-        outcome = evaluate(spec, term, fuel)
+        outcome = evaluate(spec, term, fuel, record_trace=traced)
     except ResourceLimitError as error:
         return str(error)
+    if not traced:
+        return outcome.status, outcome.fuel_used
     return outcome.status, outcome.fuel_used, tuple(outcome.trace)
 
 
-@pytest.mark.parametrize("case", _DEEP_PEAKS)
-def test_a_skip_under_a_deeper_peak_keeps_the_frame_limit(case, monkeypatch):
-    # The skip bounds its periods by the running peak, which covers
-    # every depth the run has reached or bounded, the walks beneath the
-    # repeat included, and never passes the frame limit.
-    spec, term = _DEEP_PEAKS[case]
-    seen = []
-    skip = engine._Machine._skip
+def _spy_on_the_skip(monkeypatch):
+    """Record, for each skip, the stack and the anchor's depth at the
+    repeat, the fuel of one period, and the frame limit after the skip,
+    and, for each contraction, the stack and whether a skip came
+    before it."""
+    skips, contractions = [], []
+    skip, contract = engine._Machine._skip, engine._Machine._contract
 
-    def spy(machine, anchor, path, peak):
-        seen.append((peak, len(machine.frames)))
-        skip(machine, anchor, path, peak)
+    def skip_spy(machine, anchor, path):
+        depth, fuel = len(machine.frames), machine.fuel
+        skip(machine, anchor, path)
+        skips.append((depth, anchor[0], anchor[4] - fuel,
+                      machine.max_frames))
 
-    monkeypatch.setattr(engine._Machine, "_skip", spy)
-    assert evaluate(spec, term, 3000).status == FUEL_EXHAUSTED
-    [(peak, depth)] = seen
-    assert depth + 50 < peak <= engine.MAX_FRAMES
-    monkeypatch.setattr(engine._Machine, "_skip", skip)
+    def contract_spy(machine, *args):
+        contractions.append((len(machine.frames), bool(skips)))
+        return contract(machine, *args)
+
+    monkeypatch.setattr(engine._Machine, "_skip", skip_spy)
+    monkeypatch.setattr(engine._Machine, "_contract", contract_spy)
+    return skips, contractions
+
+
+@pytest.mark.parametrize("case", _DEEP_WALKS)
+def test_a_skip_under_a_deeper_walk_keeps_the_frame_limit(case, monkeypatch):
+    # The walk before the repeat went more than 50 frames above the
+    # stack there, and the limit sweep crosses that depth.
+    spec, term = _DEEP_WALKS[case]
+    with pytest.MonkeyPatch.context() as patch:
+        skips, contractions = _spy_on_the_skip(patch)
+        assert evaluate(spec, term, 3000).status == FUEL_EXHAUSTED
+    [(depth, _, _, _)] = skips
+    deepest = max(d for d, after in contractions if not after)
+    assert depth + 50 < deepest
 
     for fuel in (3000, 500):
         outcomes = set()
@@ -291,6 +309,37 @@ def test_a_skip_under_a_deeper_peak_keeps_the_frame_limit(case, monkeypatch):
             assert skipped == walked, (fuel, limit)
             outcomes.add(skipped == FRAMES)
         assert outcomes == {True, False}
+
+
+# y59 (... (y0 (Y f))) under bv: 60 operand frames lie beneath a repeat
+# whose stack rises by one ARG frame with each contraction.
+_RISING = "(\\x.f (x x)) (\\x.f (x x))"
+for _i in range(60):
+    _RISING = f"y{_i} ({_RISING})"
+
+
+@pytest.mark.parametrize("traced", (True, False), ids=("traced", "untraced"))
+def test_a_skip_past_the_frame_limit_stops_the_run_at_once(traced,
+                                                           monkeypatch):
+    # At a limit three periods above the stack at the repeat, the skip
+    # takes all but one of the periods that fuel leaves room for, so the
+    # lowered limit falls below the stack, and the next pop raises the
+    # frame error that the walk raises three periods on.
+    with pytest.MonkeyPatch.context() as patch:
+        skips, _ = _spy_on_the_skip(patch)
+        evaluate("bv", _RISING, 3000, record_trace=False)
+    [(depth, depth0, step, _)] = skips
+    assert depth > 60 and depth - depth0 == step
+    monkeypatch.setattr(engine, "MAX_FRAMES", depth + 3 * step)
+    with pytest.MonkeyPatch.context() as patch:
+        skips, contractions = _spy_on_the_skip(patch)
+        assert _limited("bv", _RISING, 3000, traced) == FRAMES
+    [(_, _, _, lowered)] = skips
+    assert lowered < depth
+    assert not any(after for _, after in contractions)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine._Machine, "_skip", _no_skip)
+        assert _limited("bv", _RISING, 3000, traced) == FRAMES
 
 
 def test_each_spec_is_validated_once(monkeypatch):
