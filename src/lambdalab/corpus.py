@@ -49,15 +49,6 @@ class GenConfig(FrozenRecord):
         object.__setattr__(self, "size_max", size_max)
         object.__setattr__(self, "free_var_pool", free_var_pool)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.seed, self.size_max, self.free_var_pool)
-                    == (other.seed, other.size_max, other.free_var_pool))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.seed, self.size_max, self.free_var_pool))
-
 
 def _is_variable(name: str) -> bool:
     try:
@@ -187,15 +178,19 @@ def save_corpus(path: str, terms: list[Term]) -> None:
 def load_corpus(path: str) -> list[Term]:
     """Read a term file: one term per line, `--` comments, blanks ok.
 
-    Parse failures report the offending line number."""
+    Parse failures report the offending line number; a file that is not
+    UTF-8 text raises a ParseError that names it."""
     terms = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            text = line.strip()
-            if not text or text.startswith("--"):
-                continue
-            try:
-                terms.append(parse_term(text))
-            except ParseError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, 1):
+                text = line.strip()
+                if not text or text.startswith("--"):
+                    continue
+                try:
+                    terms.append(parse_term(text))
+                except ParseError as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     return terms

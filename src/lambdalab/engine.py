@@ -128,7 +128,7 @@ from .notation import (
     print_spec,
     validate,
 )
-from .records import FrozenRecord
+from .records import FrozenRecord, Record
 from .terms import (
     App,
     Lam,
@@ -152,7 +152,7 @@ class EngineError(ValueError):
     """Raised for strategies the engine refuses and for broken replays."""
 
 
-class TraceEvent:
+class TraceEvent(Record):
     """One beta contraction: its address, redex, and contractum."""
 
     __slots__ = __match_args__ = ("step_index", "position", "redex",
@@ -164,18 +164,6 @@ class TraceEvent:
         self.position = position
         self.redex = redex
         self.contractum = contractum
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.step_index, self.position, self.redex,
-                     self.contractum)
-                    == (other.step_index, other.position, other.redex,
-                        other.contractum))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.step_index, self.position, self.redex,
-                     self.contractum))
 
     def __repr__(self):
         pos = "".join(self.position) or "root"
@@ -266,18 +254,6 @@ class Outcome(FrozenRecord):
         object.__setattr__(self, "trace", trace)
         object.__setattr__(self, "fuel_used", fuel_used)
         object.__setattr__(self, "stage", stage)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.status, self.result, self.trace, self.fuel_used,
-                     self.stage)
-                    == (other.status, other.result, other.trace,
-                        other.fuel_used, other.stage))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.status, self.result, self.trace, self.fuel_used,
-                     self.stage))
 
 
 class DerivationNode:

@@ -84,14 +84,6 @@ class CompareVerdict(FrozenRecord):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "witness", witness)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.witness) == (other.kind, other.witness)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.witness))
-
 
 class CorpusReport(Record):
     """The verdicts of one corpus driver. verdicts and counterexamples
@@ -112,14 +104,6 @@ class CorpusReport(Record):
         self.verdicts = {} if verdicts is None else verdicts
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.mcr = mcr
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.a, self.b, self.seed, self.fuel, self.n,
-                     self.verdicts, self.counterexamples, self.mcr)
-                    == (other.a, other.b, other.seed, other.fuel, other.n,
-                        other.verdicts, other.counterexamples, other.mcr))
-        return NotImplemented
 
     __hash__ = None
 

@@ -54,15 +54,6 @@ class UniformSpec(FrozenRecord):
         object.__setattr__(self, "ar1", ar1)
         object.__setattr__(self, "ar2", ar2)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.la, self.ar1, self.ar2)
-                    == (other.la, other.ar1, other.ar2))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.la, self.ar1, self.ar2))
-
     @property
     def triple(self):
         return (self.la, self.ar1, self.ar2)
@@ -79,15 +70,6 @@ class HybridSpec(FrozenRecord):
         object.__setattr__(self, "ar1", ar1)
         object.__setattr__(self, "ar2", ar2)
         object.__setattr__(self, "subsidiary", subsidiary)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.la, self.ar1, self.ar2, self.subsidiary)
-                    == (other.la, other.ar1, other.ar2, other.subsidiary))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.la, self.ar1, self.ar2, self.subsidiary))
 
     @property
     def triple(self):
@@ -109,15 +91,6 @@ class ReadbackSpec(FrozenRecord):
         object.__setattr__(self, "la", la)
         object.__setattr__(self, "ar2", ar2)
         object.__setattr__(self, "ev", ev)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.la, self.ar2, self.ev)
-                    == (other.la, other.ar2, other.ev))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.la, self.ar2, self.ev))
 
 
 StrategySpec = UniformSpec | HybridSpec | ReadbackSpec
@@ -182,15 +155,6 @@ class Diagnostic(FrozenRecord):
         object.__setattr__(self, "proviso", proviso)
         object.__setattr__(self, "message", message)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.proviso, self.message)
-                    == (other.proviso, other.message))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.proviso, self.message))
-
 
 class ValidationReport(FrozenRecord):
     __match_args__ = ("spec", "verdict", "diagnostics")
@@ -200,15 +164,6 @@ class ValidationReport(FrozenRecord):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "diagnostics", diagnostics)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.spec, self.verdict, self.diagnostics)
-                    == (other.spec, other.verdict, other.diagnostics))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.spec, self.verdict, self.diagnostics))
 
 
 # The verdicts that reject an encoding: the engine will not run it, fuse
@@ -327,14 +282,6 @@ class FusionResult(FrozenRecord):
         object.__setattr__(self, "hybrid", hybrid)
         object.__setattr__(self, "mcr", mcr)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.hybrid, self.mcr) == (other.hybrid, other.mcr)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.hybrid, self.mcr))
-
 
 def fuse(spec: ReadbackSpec | str) -> FusionResult:
     """The hybrid evaluator one-step-equivalent to a staged readback.
@@ -409,18 +356,6 @@ class CatalogueEntry(FrozenRecord):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "classification", classification)
         object.__setattr__(self, "result_form", result_form)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.alias, self.spec, self.classification,
-                     self.result_form)
-                    == (other.alias, other.spec, other.classification,
-                        other.result_form))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alias, self.spec, self.classification,
-                     self.result_form))
 
 
 # The two strategy facts the provisos leave open, written by hand: the

@@ -267,6 +267,15 @@ def test_corpus_run_out_with_json_prints_json(capsys, tmp_path):
     assert json.loads(report.read_text())["n"] == 10
 
 
+def test_corpus_run_reports_a_file_that_is_not_utf8(capsys, tmp_path):
+    corpus = tmp_path / "binary.lam"
+    corpus.write_bytes(b"\x7fELF\x02\x01\x01\x00\xc3\x28")
+    code, out, err = run(capsys, "corpus-run", "ISS", "III", str(corpus))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {corpus}: not UTF-8 text: invalid continuation byte\n"
+
+
 @pytest.mark.parametrize("pool, message", [
     ("x y", "error: free variable 'x y' must be a variable of the term"),
     ("x,v1", "error: free variable 'v1' must be a variable of the term"),

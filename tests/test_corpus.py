@@ -123,6 +123,14 @@ def test_load_reports_offending_line(tmp_path):
     assert "bad.lam" in str(exc.value)
 
 
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "binary.lam"
+    path.write_bytes(b"x\n\xff\xfe y\n")
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte"
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.lam"
     path.write_text("", encoding="utf-8")

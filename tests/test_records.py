@@ -3,6 +3,7 @@ hashing, immutability, repr and copying behave as the generated
 dataclass methods they replace did. The reprs below were recorded from
 those dataclasses."""
 
+import ast
 import copy
 import os
 import pickle
@@ -303,3 +304,92 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class _Pair(Record):
+    __slots__ = __match_args__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+
+
+def test_a_record_gets_eq_and_hash_over_its_fields():
+    assert "__eq__" in _Pair.__dict__ and "__hash__" in _Pair.__dict__
+    assert _Pair.__eq__.__qualname__ == "_Pair.__eq__"
+    assert _Pair(1, [2]) == _Pair(1, [2]) and _Pair(1, 2) != _Pair(2, 1)
+    assert _Pair(1, 2) != (1, 2) and _Pair(1, 2).__eq__((1, 2)) is NotImplemented
+    assert hash(_Pair(1, 2)) == hash((1, 2))
+    # One field needs a one-tuple, not a parenthesised expression.
+    class One(Record):
+        __match_args__ = ("x",)
+
+        def __init__(self, x):
+            self.x = x
+
+    assert One(3) == One(3) != One(4)
+    assert hash(One(3)) == hash((3,))
+
+
+def test_a_method_the_class_body_defines_is_kept():
+    def eq(self, other):
+        return True
+
+    class Loose(Record):
+        __match_args__ = ("x",)
+        __eq__ = eq
+        __hash__ = None
+
+    class Unhashed(Record):
+        __match_args__ = ("x",)
+        __hash__ = None
+
+    assert Loose.__eq__ is eq and Loose.__hash__ is None
+    assert Unhashed.__hash__ is None
+    assert Unhashed.__eq__.__qualname__.endswith("Unhashed.__eq__")
+
+
+def test_a_record_without_fields_gets_no_methods():
+    class Empty(Record):
+        pass
+
+    class Named(Record):
+        __match_args__ = ()
+
+    class Report(CorpusReport):
+        pass
+
+    for cls in (Empty, Named, Record, FrozenRecord, Report):
+        assert "__eq__" not in cls.__dict__ and "__hash__" not in cls.__dict__
+    assert Empty.__eq__ is object.__eq__
+    # A subclass that names no fields of its own keeps its base's methods.
+    assert Report.__eq__ is CorpusReport.__eq__ and Report.__hash__ is None
+
+
+def test_the_generated_hash_reads_its_fields_directly():
+    # No getter and no loop: the code a hand-written hash would be.
+    assert HybridSpec.__hash__.__code__.co_names == (
+        "hash", "la", "ar1", "ar2", "subsidiary")
+    assert HybridSpec.__eq__.__code__.co_names == (
+        "__class__", "la", "ar1", "ar2", "subsidiary", "NotImplemented")
+
+
+def test_no_record_class_body_writes_eq_or_hash():
+    names = {cls.__name__ for cls in CASES}
+    written = []
+    for path in sorted((ROOT / "src" / "lambdalab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name not in names:
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    targets = [item.name]
+                elif isinstance(item, ast.Assign):
+                    targets = [t.id for t in item.targets
+                               if isinstance(t, ast.Name)]
+                else:
+                    continue
+                written += [f"{node.name}.{name}" for name in targets
+                            if name in ("__eq__", "__hash__")]
+    assert written == ["CorpusReport.__hash__"]
+    assert issubclass(TraceEvent, Record) and not hasattr(_EVENT, "__dict__")
