@@ -30,6 +30,8 @@ class GenConfig(FrozenRecord):
     every generated term. An empty free_var_pool forces closed terms; its
     names must be variables of the term grammar, and none may have the
     shape v<digits> of the generated binders, which would capture it.
+    The pool is copied to a tuple before it is checked, so a list
+    changed later reaches neither the check nor generate.
     The redex bias is fixed: an application whose operator has room for
     an abstraction gets a literal one with probability 0.5.
     """
@@ -40,6 +42,7 @@ class GenConfig(FrozenRecord):
                  free_var_pool: tuple[str, ...] = ()):
         if size_max < 1:
             raise ValueError("size_max must be at least 1")
+        free_var_pool = tuple(free_var_pool)
         for name in free_var_pool:
             if not _is_variable(name) or re.fullmatch(r"v[0-9]+", name):
                 raise ValueError(f"free variable {name!r} must be a variable "
@@ -65,11 +68,10 @@ def generate(cfg: GenConfig, n: int) -> list[Term]:
     the terms already drawn. Terms are closed when the pool is empty."""
     if n < 0:
         raise ValueError("n must be at least 0")
-    pool = tuple(cfg.free_var_pool)
-    if not pool and cfg.size_max < 2:
+    if not cfg.free_var_pool and cfg.size_max < 2:
         raise ValueError("closed terms need size_max >= 2")
     return [
-        _gen_term(random.Random(f"{cfg.seed}:{i}"), cfg, pool)
+        _gen_term(random.Random(f"{cfg.seed}:{i}"), cfg, cfg.free_var_pool)
         for i in range(n)
     ]
 

@@ -2,7 +2,8 @@
 
 import hypothesis.strategies as st
 
-from lambdalab import App, Lam, Var, free_vars, substitute
+from lambdalab import App, Lam, Var
+from lambdalab.terms import free_vars, substitute
 
 NAMES = ("x", "y", "z", "w")
 

@@ -22,7 +22,6 @@ from lambdalab import (
     catalogue,
     check_absorption,
     check_fusion_row,
-    churchN,
     classify,
     compare,
     defuse,
@@ -35,10 +34,9 @@ from lambdalab import (
     parse_term,
     print_spec,
     print_term,
-    reconstruct_sequence,
     validate,
 )
-from lambdalab.engine import sequence_from_tree
+from lambdalab.engine import reconstruct_sequence, sequence_from_tree
 from lambdalab.lab import (
     BOTH_EXHAUSTED_EQUAL_PREFIX,
     BOTH_EXHAUSTED_MCR_PREFIX,
@@ -48,7 +46,7 @@ from lambdalab.lab import (
     ONE_STEP_EQUAL,
     VIOLATED,
 )
-from lambdalab.terms import FormClass, ResourceLimitError
+from lambdalab.terms import FormClass, ResourceLimitError, churchN
 
 SWEEP_FUEL = 20000
 SWEEP_MAX_NODES = 250000

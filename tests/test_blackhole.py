@@ -22,9 +22,9 @@ from lambdalab import (
     paper_corpus,
     parse_term,
     print_term,
-    reconstruct_sequence,
 )
 from lambdalab import engine
+from lambdalab.engine import reconstruct_sequence
 
 # The first 500 seed-1337 corpus terms on which some readback row or
 # its fused hybrid runs out of fuel at 3000: the heavy fusion items.

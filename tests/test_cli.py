@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from lambdalab import (GenConfig, Var, free_vars, generate, parse_term,
-                       print_term)
+from lambdalab import GenConfig, Var, generate, parse_term, print_term
 from lambdalab import engine
 from lambdalab import terms as terms_module
 from lambdalab.cli import build_parser, main
 from lambdalab.lab import DEFAULT_FACTORIAL_FUEL
+from lambdalab.terms import free_vars
 
 
 def run(capsys, *argv):

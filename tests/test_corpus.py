@@ -11,15 +11,15 @@ from lambdalab import (
     ParseError,
     Var,
     evaluate,
-    free_vars,
     generate,
     load_corpus,
     paper_corpus,
     parse_term,
     print_term,
     save_corpus,
-    trace_json,
 )
+from lambdalab.lab import trace_json
+from lambdalab.terms import free_vars
 
 
 def term_size(term):
@@ -90,6 +90,24 @@ def test_pool_names_stay_free_and_round_trip(tmp_path):
     path = tmp_path / "corpus.lam"
     save_corpus(str(path), terms)
     assert load_corpus(str(path)) == terms
+
+
+def test_a_pool_changed_after_construction_does_not_reach_generate():
+    pool = ["x"]
+    cfg = GenConfig(seed=3, size_max=12, free_var_pool=pool)
+    pool.append("v1")  # a binder's name, which the check refuses
+    assert cfg.free_var_pool == ("x",)
+    terms = generate(cfg, 40)
+    assert terms == generate(GenConfig(3, 12, ("x",)), 40)
+    assert all(free_vars(t) <= {"x"} for t in terms)
+
+
+def test_a_pool_given_as_a_list_equals_and_hashes_as_a_tuple():
+    from_list = GenConfig(3, 12, ["x", "y"])
+    from_tuple = GenConfig(3, 12, ("x", "y"))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert repr(from_list) == repr(from_tuple)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -27,10 +27,9 @@ from lambdalab import (
     parse_term,
     print_spec,
     print_term,
-    reconstruct_sequence,
-    sequence_from_tree,
 )
 from lambdalab import engine, terms
+from lambdalab.engine import reconstruct_sequence, sequence_from_tree
 from strategies import closed_terms
 
 SPEC_POOL = ("bn", "bv", "ao", "he", "IIS", "SIS", "no", "hn", "sn", "ha",

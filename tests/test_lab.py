@@ -10,7 +10,6 @@ from lambdalab import (
     BIG_STEP_EQUAL_ONLY,
     BOTH_EXHAUSTED_EQUAL_PREFIX,
     BOTH_EXHAUSTED_MCR_PREFIX,
-    COMPARE_KINDS,
     CONVERGED,
     DIFFER,
     EQUAL_MCR,
@@ -39,6 +38,7 @@ from lambdalab import (
     print_term,
 )
 from lambdalab import lab
+from lambdalab.lab import COMPARE_KINDS
 from lambdalab.terms import _alpha_sig
 from strategies import closed_terms
 

@@ -1,12 +1,13 @@
 """Module layering: no module of the package reaches into a sibling's
 private helpers. A name a sibling needs is public in its module, even
 when it stays out of the package's __all__. And every attribute the
-benchmark's traced run wraps is still where it looks for it, and the
-package's public names are pinned."""
+benchmark's traced run wraps is still where it looks for it, the
+package's public names are pinned, and the README lists the same ones."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,29 +46,73 @@ def test_every_traced_hook_resolves():
     assert missing == []
 
 
-# The package's public names, sorted. A name that leaves stays
-# importable from its own module.
+# The package's public names, sorted: the entry points, the types they
+# take, return and raise, and every status and verdict string their
+# results carry. A name that leaves stays importable from its own module.
 PUBLIC = (
     "ABSORBED ALIASES App BIG_STEP_EQUAL_ONLY BOTH_EXHAUSTED_EQUAL_PREFIX "
-    "BOTH_EXHAUSTED_MCR_PREFIX COMPARE_KINDS CONVERGED CatalogueEntry "
-    "CompareVerdict CorpusReport DIFFER Diagnostic EQUAL_MCR EngineError "
-    "FUEL_EXHAUSTED FormClass FusionResult GenConfig HybridSpec "
-    "INCONCLUSIVE Lam NotationError ONE_STEP_EQUAL Outcome ParseError "
-    "ReadbackSpec ResourceLimitError Term TraceEvent UniformSpec VIOLATED "
-    "ValidationReport Var alias_of alpha_eq builtins catalogue "
-    "check_absorption check_fusion_row churchN classify compare "
-    "compare_corpus defuse demo_factorial derivation_forest evaluate "
-    "factorial_term free_vars fresh_var fuse generate load_corpus "
-    "paper_corpus parse_spec parse_term print_spec print_term "
-    "reconstruct_sequence save_corpus sequence_from_tree substitute "
-    "trace_json validate"
+    "BOTH_EXHAUSTED_MCR_PREFIX CONVERGED CatalogueEntry CompareVerdict "
+    "CorpusReport DIFFER Diagnostic EQUAL_MCR EngineError FUEL_EXHAUSTED "
+    "FormClass FusionResult GenConfig HybridSpec INCONCLUSIVE Lam "
+    "NotationError ONE_STEP_EQUAL Outcome ParseError ReadbackSpec "
+    "ResourceLimitError Term TraceEvent UniformSpec VIOLATED "
+    "ValidationReport Var alpha_eq catalogue check_absorption "
+    "check_fusion_row classify compare compare_corpus defuse "
+    "demo_factorial derivation_forest evaluate factorial_term fuse "
+    "generate load_corpus paper_corpus parse_spec parse_term print_spec "
+    "print_term save_corpus validate"
 ).split()
+
+# Names that left the package, each with the module it is imported from.
+MOVED = {
+    "substitute": "terms", "free_vars": "terms", "fresh_var": "terms",
+    "builtins": "terms", "churchN": "terms", "alias_of": "notation",
+    "reconstruct_sequence": "engine", "sequence_from_tree": "engine",
+    "trace_json": "lab", "COMPARE_KINDS": "lab",
+    "DerivationNode": "engine", "StrategySpec": "notation",
+}
 
 
 def test_the_public_names_are_pinned_and_resolve():
     package = importlib.import_module("lambdalab")
-    assert len(PUBLIC) == 65 and PUBLIC == sorted(PUBLIC)
+    assert len(PUBLIC) == 55 and PUBLIC == sorted(PUBLIC)
     assert package.__all__ == PUBLIC
     assert [name for name in PUBLIC if not hasattr(package, name)] == []
-    assert importlib.import_module("lambdalab.engine").DerivationNode
-    assert importlib.import_module("lambdalab.notation").StrategySpec
+
+
+def test_a_moved_name_resolves_in_its_module_only():
+    package = importlib.import_module("lambdalab")
+    assert [name for name in MOVED if hasattr(package, name)] == []
+    assert [name for name, module in MOVED.items()
+            if not hasattr(importlib.import_module(f"lambdalab.{module}"),
+                           name)] == []
+
+
+def readme_public_names():
+    """{module: [names]} from the README's bullets of public names, each
+    a line "- `lambdalab.MODULE`: `name`, ..." continued on indented
+    lines."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    groups, module = {}, None
+    for line in section.splitlines():
+        head = re.match(r"- `lambdalab\.(\w+)`:(.*)", line)
+        if head:
+            module, line = head.groups()
+            groups[module] = []
+        elif not line.startswith("  "):
+            module = None
+        if module:
+            groups[module] += re.findall(r"`(\w+)`", line)
+    return groups
+
+
+def test_the_readme_lists_the_public_names_by_module():
+    package = importlib.import_module("lambdalab")
+    groups = readme_public_names()
+    assert sorted(n for names in groups.values() for n in names) == PUBLIC
+    misplaced = [f"{module}.{name}" for module, names in groups.items()
+                 for name in names
+                 if getattr(importlib.import_module(f"lambdalab.{module}"),
+                            name, None) is not getattr(package, name)]
+    assert misplaced == []

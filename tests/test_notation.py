@@ -15,7 +15,6 @@ from lambdalab import (
     NotationError,
     ReadbackSpec,
     UniformSpec,
-    alias_of,
     catalogue,
     classify,
     defuse,
@@ -29,7 +28,7 @@ from lambdalab import (
 )
 from lambdalab import notation
 from lambdalab.cli import main
-from lambdalab.notation import _HAND_WRITTEN, REJECTED
+from lambdalab.notation import _HAND_WRITTEN, REJECTED, alias_of
 
 
 def all_hybrids():

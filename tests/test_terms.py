@@ -22,22 +22,19 @@ from lambdalab import (
     ResourceLimitError,
     Var,
     alpha_eq,
-    builtins,
     catalogue,
-    churchN,
     classify,
     evaluate,
     factorial_term,
-    free_vars,
-    fresh_var,
     generate,
     paper_corpus,
     parse_term,
     print_term,
-    substitute,
 )
 from lambdalab import engine
 from lambdalab import terms as terms_module
+from lambdalab.terms import (builtins, churchN, free_vars, fresh_var,
+                             substitute)
 
 
 def test_parse_identity():

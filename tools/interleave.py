@@ -10,9 +10,10 @@ SPEC is an alias or an encoding; for example sweep:SIS:527,
 fusion:byValue:neutral-operand or factorial:hn:6. An item outside its
 workload's universe is refused.
 
-The parent's src/lambdalab is exported with `git archive` into a
-temporary directory as the package lambdalab_parent, and both trees are
-imported into this one process, so both sides share the interpreter,
+The parent's whole tree is exported with benchpairs.export (`git
+archive`) into a temporary directory, where its src/lambdalab is renamed
+to the package lambdalab_parent, and both trees are imported into this
+one process, so both sides share the interpreter,
 the heap and the host's moment-to-moment speed. Each tree gets one
 perfbench/workloads.py Context per workload. The set-up data (trees,
 Contexts, reference outcomes) is then frozen out of the collector with
@@ -35,17 +36,14 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import io
 import math
 import os
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 
-from benchpairs import quartiles
+from benchpairs import export, quartiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(ROOT, "perfbench")
@@ -76,18 +74,6 @@ def summarise(timings):
             "rounds": len(ratios),
         }
     return out
-
-
-def export(rev, into):
-    """Extract rev's src/lambdalab under into as PARENT_PACKAGE."""
-    archive = subprocess.run(["git", "archive", rev, "src/lambdalab"],
-                             cwd=ROOT, capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        members = [m for m in tar.getmembers()
-                   if m.name.startswith("src/lambdalab/")]
-        for m in members:
-            m.name = PARENT_PACKAGE + m.name[len("src/lambdalab"):]
-        tar.extractall(into, members)
 
 
 def contexts(lab, oracle):
@@ -188,6 +174,8 @@ def main(argv=None):
     try:
         with tempfile.TemporaryDirectory() as tmp:
             export(args.parent, tmp)
+            os.rename(os.path.join(tmp, "src", "lambdalab"),
+                      os.path.join(tmp, PARENT_PACKAGE))
             sys.path.insert(0, tmp)
             ctxs = {"parent": contexts(
                         importlib.import_module(PARENT_PACKAGE), None),
