@@ -93,3 +93,33 @@ def test_a_failed_run_prints_where_it_failed_and_its_stderr(monkeypatch,
     assert "exited with status 1" in err
     assert "ValueError: boom" in err and "line 29" in err
     assert "line 0\n" not in err  # only the tail
+
+
+def test_failed_items_are_printed_and_exit_1_after_the_output(
+        monkeypatch, tmp_path, capsys):
+    # Every change run fails 3 items and is much faster: its wall_s
+    # alone would read as a gain.
+    names = [m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(side, tree, workload, seed, seconds, trace=0, pair=None):
+        wall_s, failed = (1.30, 0) if side == "parent" else (0.90, 3)
+        return {"failed": failed, "metrics": {
+            name: {"value": wall_s if name == "wall_s" else 1.0}
+            for name in names}}
+
+    monkeypatch.setattr(benchpairs, "run", fake_run)
+    monkeypatch.setattr(benchpairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(benchpairs, "host_probe_us", lambda: 50.0)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        benchpairs.main(["--parent", "HEAD", "--out", str(out),
+                         "--workload", "sweep", "--pairs", "4"])
+    assert exc.value.code == 1
+    report = json.loads(out.read_text())
+    summary = report["workloads"]["sweep --seed 1337"]
+    assert summary["failed"] == {"parent": [0] * 4, "change": [3] * 4}
+    assert summary["metrics"]["wall_s"]["verdict"] == "gain"
+    printed = capsys.readouterr().out
+    assert ("sweep --seed 1337    failed items: parent [0, 0, 0, 0], "
+            "change [3, 3, 3, 3]") in printed

@@ -311,14 +311,17 @@ def one_short_raises(call, spent, depth):
         substitute(operand, var, body, [spent - 1])
 
 
-@pytest.mark.parametrize("run", ["SSI on corpus term 527", "sn", "hn"])
+@pytest.mark.parametrize("run", ["SSI on corpus term 527",
+                                 "SIS on corpus term 527", "sn", "hn"])
 def test_recursion_and_stack_loop_agree_on_engine_calls(run, corpus_1337,
                                                         monkeypatch):
-    # Term 527 grows until SSI hits sweep's max_nodes cap, and most of
-    # its calls hand off to the stack loop; factorial never does. Only
-    # hn's bodies share subterms that the memo must walk once. Equal
-    # allocation counts and sharing (the blackhole compares it with
-    # _same_dag) mean the default walk is the stack loop's twin.
+    # Term 527 grows until SSI and SIS hit sweep's max_nodes cap. Most
+    # of SSI's calls hand off to the stack loop; SIS builds every node
+    # by recursion, and both rename chains of shadowing binders in one
+    # loop; factorial never hands off. Only hn's bodies share subterms
+    # that the memo must walk once. Equal allocation counts and sharing
+    # (the blackhole compares it with _same_dag) mean the default walk
+    # is the stack loop's twin.
     calls = []
     real = engine.substitute
 
@@ -332,8 +335,8 @@ def test_recursion_and_stack_loop_agree_on_engine_calls(run, corpus_1337,
                         record_trace=False).status == "converged"
     else:
         with pytest.raises(ResourceLimitError):
-            evaluate("SSI", corpus_1337[527], 20_000, record_trace=False,
-                     max_nodes=250_000)
+            evaluate(run.split()[0], corpus_1337[527], 20_000,
+                     record_trace=False, max_nodes=250_000)
     assert len(calls) > 1000
     for call in calls:
         fast, spent, fv = replay(call, DEFAULT_DEPTH)
@@ -378,12 +381,27 @@ def deep_rename_at_the_hand_off():
     return t
 
 
-@pytest.mark.parametrize("build", [deep_spine, deep_binders,
-                                   deep_rename_at_the_hand_off])
+def deep_renamed_chains():
+    """(\\y.\\y.\\y.(...) x) x, chains of three binders \\y alternating
+    with application levels, DEEP levels deep, fresh with every call:
+    [y/x] renames each chain in one loop."""
+    t = Var("x")
+    for _ in range(DEEP // 4):
+        t = App(Lam("y", Lam("y", Lam("y", t))), Var("x"))
+    return t
+
+
+DEEP_TERMS = pytest.mark.parametrize(
+    "build", [deep_spine, deep_binders, deep_rename_at_the_hand_off,
+              deep_renamed_chains])
+
+
+@DEEP_TERMS
 def test_deep_terms_hand_off_to_the_stack_loop(build):
-    # [y/x] renames every binder of the last two. substitute, the one
+    # [y/x] renames every binder of the last three. substitute, the one
     # walk that recurses, must stay well under half of the default limit
-    # of 1000 frames.
+    # of 1000 frames, and a chain of binders renamed in one loop adds no
+    # frame per level.
     here = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(here + 450)
@@ -432,6 +450,80 @@ def test_rename_tables_live_for_the_whole_call(depth):
     assert engine._same_dag(out, slow)
 
 
+def stack_binders(params, body):
+    for p in reversed(params):
+        body = Lam(p, body)
+    return body
+
+
+@st.composite
+def binder_chains(draw):
+    """[operand/x] over a body whose abstractions come in stacks of
+    binders named after the operand's free variables, or q9, which is
+    not free in the operand and whose number moves a fresh name's
+    suffix; some stacks sit over a subterm that the body also holds
+    elsewhere, so the memo may stop a chain."""
+    operand = draw(terms(6).filter(lambda t: free_vars(t) - {"x"}))
+    names = sorted(free_vars(operand) - {"x"}) + ["q9"]
+    binders = st.sampled_from(names)
+
+    def grow(inner):
+        chains = st.tuples(st.lists(binders, min_size=2, max_size=4),
+                           inner).map(lambda c: stack_binders(*c))
+        apps = st.tuples(inner, inner).map(lambda p: App(*p))
+        shared = st.tuples(binders, inner).map(
+            lambda p: App(p[1], Lam(p[0], p[1])))
+        return chains | apps | shared
+
+    leaves = (st.just("x") | st.sampled_from(names)).map(Var)
+    return operand, "x", draw(st.recursive(leaves, grow, max_leaves=20))
+
+
+@HANDOFF_DEPTHS
+@given(binder_chains())
+def test_chains_of_renamed_binders_match_the_stack_loop(depth, call):
+    out, spent, fv = replay(call, depth)
+    slow, spent_slow, fv_slow = replay(call, 0)
+    assert spent == spent_slow
+    assert engine._same_dag(out, slow)
+    assert fv == fv_slow
+    for node in nodes(out):
+        assert free_vars(node) == db_free(oracle.to_db(node))
+    operand, var, body = call
+    lam = oracle.to_db(Lam(var, body))
+    assert oracle.to_db(out) == oracle.beta(lam[1], oracle.to_db(operand))
+
+
+@HANDOFF_DEPTHS
+def test_a_chain_stops_at_a_node_already_in_the_memo(depth):
+    # Both \a.v are one node. The operator's walk puts it in the memo
+    # before the chain over the operand reaches it, so the chain shares
+    # its result and does not charge for it again.
+    lam = parse_term(r"\a.v")
+    out, spent, _ = replay((Var("a"), "v", App(lam, Lam("a", lam))), depth)
+    assert print_term(out) == r"(\a1.a) \a1.\a1.a"
+    assert spent == 3
+    assert out.operand.body is out.operator
+
+
+@HANDOFF_DEPTHS
+def test_a_chain_draws_again_when_the_body_s_free_variables_change(depth):
+    # The two \p have one name, but q9 is free under the second and not
+    # under the first, so the second draws a fresh name of its own.
+    out, spent, _ = replay((Var("p"), "v", parse_term(r"\p.\q9.\p.v q9")),
+                           depth)
+    assert print_term(out) == r"\p1.\q9.\p10.p q9"
+    assert spent == 4
+
+
+def test_a_chain_reuses_the_name_it_just_drew():
+    # Where the binder and its body's free variables repeat, the levels
+    # share one fresh name, string and all.
+    out = substitute(Var("p"), "v", parse_term(r"\p.\p.\p.v"))
+    assert print_term(out) == r"\p1.\p1.\p1.p"
+    assert out.param is out.body.param is out.body.body.param
+
+
 def db_free(db):
     """The free names of a de Bruijn tree made by oracle.to_db."""
     out, stack = set(), [db]
@@ -478,8 +570,7 @@ def test_free_vars_of_every_substitute_result_matches_the_oracle(
         assert free_vars(node) == db_free(oracle.to_db(node))
 
 
-@pytest.mark.parametrize("build", [deep_spine, deep_binders,
-                                   deep_rename_at_the_hand_off])
+@DEEP_TERMS
 def test_free_vars_of_deep_terms_matches_the_oracle(build):
     term = build()
     for t in (term, substitute(Var("y"), "x", term)):

@@ -23,9 +23,12 @@ neither side), the bound from BENCHMARK.json and a verdict:
   every run of the parent;
 - within bound: otherwise.
 
-`failed` is kept per run. --trace-pair adds one `--trace 1` run per side
-and workload for the per-layer figures. A host probe (perfbench's own
-reference computation, median of 200 calls) is taken before and after.
+`failed` is kept per run and printed per workload and side; once the
+output is written, the script exits 1 if any run failed an item, so a
+gain on runs that fail items does not read as a gain. --trace-pair adds
+one `--trace 1` run per side and workload for the per-layer figures. A
+host probe (perfbench's own reference computation, median of 200 calls)
+is taken before and after.
 Standard library only; run from the root of a checkout.
 """
 
@@ -186,11 +189,22 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
+    any_failed = False
     for workload, summary in report["workloads"].items():
         for name, m in summary["metrics"].items():
             print(f"{workload:20} {name:13} {m['parent']['median']:10.4g} -> "
                   f"{m['change']['median']:10.4g}  wins {m['wins']}/"
                   f"{m['pairs']}  {m['verdict']}")
+        failed = summary["failed"]
+        traced = {side: line["failed"]
+                  for side, line in summary.get("traced", {}).items()}
+        print(f"{workload:20} failed items: parent {failed['parent']}, "
+              f"change {failed['change']}"
+              + (f", traced {traced}" if traced else ""))
+        any_failed = any_failed or any(
+            failed["parent"] + failed["change"] + list(traced.values()))
+    if any_failed:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
