@@ -29,12 +29,10 @@ into the result. Every table lives until the call returns, since its
 keys are the ids of nodes that a dropped rename table could let die
 (see _subst).
 
-Where a renamed binder's body is another abstraction, the recursive
-walk takes the chain of abstractions below it in one loop (_descend,
-_rebuild), not one call a level. Shadowing binders such as
-\v4.\v4.\v4.M all rename to one fresh name, which the loop draws once.
-Each level is named, built, charged and memoised as its own call would
-do it, so the result is the same.
+The recursive walk also keeps in a binding's table the fresh names it
+has drawn, so shadowing binders such as \v4.\v4.\v4.M, which all
+rename to one fresh name, draw it once. The stack loop draws each name
+anew and picks the same one.
 """
 
 from __future__ import annotations
@@ -251,12 +249,11 @@ def _subst(node, v, rand, fvr, memo, alloc, depth):
     table that made it, under its own id, until the call returns; no
     live node shares a live table's id, so a pin is never a hit.
 
-    A renamed binder not free in its own body, over another abstraction,
-    starts a chain: _descend walks the abstractions below it down to its
-    bottom, the recursion goes on once from there, and _rebuild builds
-    the levels over the bottom's result. Nothing is looked up or built
-    in between, so each level is named, built, charged and memoised as
-    its own call would do it, and the chain adds no frame per level.
+    Within a binding, a fresh name depends only on the binder and its
+    body's free variables, so the table also maps (binder, id of the
+    body's set) to the name drawn for them. The body is a node of the
+    call's input or of a pinned renamed copy, alive until the call
+    returns, so no other set takes the id meanwhile.
     """
     if not depth:
         return _subst_loop(node, v, rand, fvr, memo, alloc)
@@ -271,17 +268,15 @@ def _subst(node, v, rand, fvr, memo, alloc, depth):
             # Renaming re-enters substitution, which keeps nested binder
             # collisions capture-safe. v stays free in the renamed body,
             # and a body that is a variable is v, so p is not free in it.
-            fresh = _fresh(p, fvr, b._fv, v)
+            key = (p, id(b._fv))
+            fresh = memo.get(key)
+            if fresh is None:
+                fresh = memo[key] = _fresh(p, fvr, b._fv, v)
             if p in b._fv:
                 r = Var(fresh)
                 renamed = {}
                 memo[id(renamed)] = renamed
                 b = _subst(b, p, r, r._fv, renamed, alloc, depth)
-            elif type(b) is Lam:
-                levels, b = _descend(node, fresh, v, fvr, memo)
-                return _rebuild(levels, rand if type(b) is Var else
-                                _subst(b, v, rand, fvr, memo, alloc, depth),
-                                memo, alloc)
             p = fresh
         nb = (rand if type(b) is Var
               else _subst(b, v, rand, fvr, memo, alloc, depth))
@@ -300,50 +295,6 @@ def _subst(node, v, rand, fvr, memo, alloc, depth):
             raise ResourceLimitError("substitution allocation limit exceeded")
     memo[id(node)] = out
     return out
-
-
-def _descend(node, fresh, v, fvr, memo):
-    """The levels of a chain of binders under [rand/v], from node, whose
-    binder is renamed to fresh, down to the first node that is no
-    abstraction, is in memo, or has a binder to rename that is free in
-    its own body; and that node, the chain's bottom.
-
-    Each level is (node, its new binder), as _subst would pick it one
-    call per level. A fresh name depends only on the binder, the body's
-    free variables, v and fvr, so the name just drawn is reused when
-    the binder and the body's set (the same object) repeat."""
-    levels = [(node, fresh)]
-    p = node.param
-    b = node.body
-    fv = b._fv
-    while type(b) is Lam and id(b) not in memo:
-        q = b.param
-        c = b.body
-        if q in fvr:
-            if q in c._fv:
-                break
-            if q != p or c._fv is not fv:
-                p = q
-                fv = c._fv
-                fresh = _fresh(q, fvr, fv, v)
-            q = fresh
-        levels.append((b, q))
-        b = c
-    return levels, b
-
-
-def _rebuild(levels, nb, memo, alloc):
-    """The chain of levels over nb, the result for its bottom, built,
-    charged and memoised from the bottom up as _subst's returns do."""
-    for node, p in reversed(levels):
-        out = node if nb is node.body and p == node.param else Lam(p, nb)
-        if out is not node and alloc is not None:
-            alloc[0] -= 1
-            if alloc[0] < 0:
-                raise ResourceLimitError("substitution allocation limit exceeded")
-        memo[id(node)] = out
-        nb = out
-    return nb
 
 
 # _subst_loop instruction opcodes

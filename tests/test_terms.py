@@ -317,11 +317,12 @@ def test_recursion_and_stack_loop_agree_on_engine_calls(run, corpus_1337,
                                                         monkeypatch):
     # Term 527 grows until SSI and SIS hit sweep's max_nodes cap. Most
     # of SSI's calls hand off to the stack loop; SIS builds every node
-    # by recursion, and both rename chains of shadowing binders in one
-    # loop; factorial never hands off. Only hn's bodies share subterms
-    # that the memo must walk once. Equal allocation counts and sharing
-    # (the blackhole compares it with _same_dag) mean the default walk
-    # is the stack loop's twin.
+    # by recursion. Both rename stacks of shadowing binders, whose fresh
+    # names the recursion keeps and the stack loop draws anew; factorial
+    # never hands off. Only hn's bodies share subterms that the memo
+    # must walk once. Equal allocation counts and sharing (the blackhole
+    # compares it with _same_dag) mean the default walk is the stack
+    # loop's twin.
     calls = []
     real = engine.substitute
 
@@ -384,7 +385,7 @@ def deep_rename_at_the_hand_off():
 def deep_renamed_chains():
     """(\\y.\\y.\\y.(...) x) x, chains of three binders \\y alternating
     with application levels, DEEP levels deep, fresh with every call:
-    [y/x] renames each chain in one loop."""
+    [y/x] renames every binder, all to one fresh name."""
     t = Var("x")
     for _ in range(DEEP // 4):
         t = App(Lam("y", Lam("y", Lam("y", t))), Var("x"))
@@ -400,8 +401,7 @@ DEEP_TERMS = pytest.mark.parametrize(
 def test_deep_terms_hand_off_to_the_stack_loop(build):
     # [y/x] renames every binder of the last three. substitute, the one
     # walk that recurses, must stay well under half of the default limit
-    # of 1000 frames, and a chain of binders renamed in one loop adds no
-    # frame per level.
+    # of 1000 frames.
     here = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(here + 450)
@@ -457,31 +457,31 @@ def stack_binders(params, body):
 
 
 @st.composite
-def binder_chains(draw):
+def binder_stacks(draw):
     """[operand/x] over a body whose abstractions come in stacks of
     binders named after the operand's free variables, or q9, which is
     not free in the operand and whose number moves a fresh name's
     suffix; some stacks sit over a subterm that the body also holds
-    elsewhere, so the memo may stop a chain."""
+    elsewhere, so the memo may answer it."""
     operand = draw(terms(6).filter(lambda t: free_vars(t) - {"x"}))
     names = sorted(free_vars(operand) - {"x"}) + ["q9"]
     binders = st.sampled_from(names)
 
     def grow(inner):
-        chains = st.tuples(st.lists(binders, min_size=2, max_size=4),
+        stacks = st.tuples(st.lists(binders, min_size=2, max_size=4),
                            inner).map(lambda c: stack_binders(*c))
         apps = st.tuples(inner, inner).map(lambda p: App(*p))
         shared = st.tuples(binders, inner).map(
             lambda p: App(p[1], Lam(p[0], p[1])))
-        return chains | apps | shared
+        return stacks | apps | shared
 
     leaves = (st.just("x") | st.sampled_from(names)).map(Var)
     return operand, "x", draw(st.recursive(leaves, grow, max_leaves=20))
 
 
 @HANDOFF_DEPTHS
-@given(binder_chains())
-def test_chains_of_renamed_binders_match_the_stack_loop(depth, call):
+@given(binder_stacks())
+def test_stacks_of_renamed_binders_match_the_stack_loop(depth, call):
     out, spent, fv = replay(call, depth)
     slow, spent_slow, fv_slow = replay(call, 0)
     assert spent == spent_slow
@@ -495,9 +495,9 @@ def test_chains_of_renamed_binders_match_the_stack_loop(depth, call):
 
 
 @HANDOFF_DEPTHS
-def test_a_chain_stops_at_a_node_already_in_the_memo(depth):
+def test_a_renamed_binder_over_a_node_in_the_memo_shares_it(depth):
     # Both \a.v are one node. The operator's walk puts it in the memo
-    # before the chain over the operand reaches it, so the chain shares
+    # before the walk under the operand's \a reaches it, which shares
     # its result and does not charge for it again.
     lam = parse_term(r"\a.v")
     out, spent, _ = replay((Var("a"), "v", App(lam, Lam("a", lam))), depth)
@@ -507,7 +507,8 @@ def test_a_chain_stops_at_a_node_already_in_the_memo(depth):
 
 
 @HANDOFF_DEPTHS
-def test_a_chain_draws_again_when_the_body_s_free_variables_change(depth):
+def test_a_fresh_name_is_drawn_again_when_the_body_s_free_variables_change(
+        depth):
     # The two \p have one name, but q9 is free under the second and not
     # under the first, so the second draws a fresh name of its own.
     out, spent, _ = replay((Var("p"), "v", parse_term(r"\p.\q9.\p.v q9")),
@@ -516,9 +517,30 @@ def test_a_chain_draws_again_when_the_body_s_free_variables_change(depth):
     assert spent == 4
 
 
-def test_a_chain_reuses_the_name_it_just_drew():
-    # Where the binder and its body's free variables repeat, the levels
-    # share one fresh name, string and all.
+@HANDOFF_DEPTHS
+def test_a_fresh_name_is_drawn_again_for_another_binder(depth):
+    # Both bodies are v, one free-variable set, but the binders differ.
+    out, spent, _ = replay((parse_term("p q"), "v",
+                            parse_term(r"(\p.v) \q.v")), depth)
+    assert print_term(out) == r"(\p1.p q) \q1.p q"
+    assert spent == 3
+
+
+@HANDOFF_DEPTHS
+def test_fresh_names_are_drawn_anew_in_each_call(depth):
+    # Both bodies are v, one free-variable set shared by every Var("v"),
+    # but p1 is free in the second operand: a name kept from the first
+    # call would capture it.
+    body = parse_term(r"\p.v")
+    first, _, _ = replay((Var("p"), "v", body), depth)
+    second, _, _ = replay((parse_term("p p1"), "v", body), depth)
+    assert print_term(first) == r"\p1.p"
+    assert print_term(second) == r"\p2.p p1"
+
+
+def test_renamed_binders_share_a_fresh_name():
+    # Where the binder and its body's free variables repeat, the renamed
+    # binders share one fresh name, string and all.
     out = substitute(Var("p"), "v", parse_term(r"\p.\p.\p.v"))
     assert print_term(out) == r"\p1.\p1.\p1.p"
     assert out.param is out.body.param is out.body.body.param
