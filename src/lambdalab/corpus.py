@@ -48,9 +48,8 @@ class GenConfig(FrozenRecord):
                 raise ValueError(f"free variable {name!r} must be a variable "
                                  "of the term grammar not named v<digits>, "
                                  "like the generated binders")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "size_max", size_max)
-        object.__setattr__(self, "free_var_pool", free_var_pool)
+        self.__dict__.update(seed=seed, size_max=size_max,
+                             free_var_pool=free_var_pool)
 
 
 def _is_variable(name: str) -> bool:

@@ -249,11 +249,8 @@ class Outcome(FrozenRecord):
     def __init__(self, status: str, result: Term | None,
                  trace: Trace | None, fuel_used: int,
                  stage: Outcome | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "fuel_used", fuel_used)
-        object.__setattr__(self, "stage", stage)
+        self.__dict__.update(status=status, result=result, trace=trace,
+                             fuel_used=fuel_used, stage=stage)
 
 
 class DerivationNode:
@@ -390,29 +387,37 @@ _THEN = 5
 
 
 class _Machine:
+    # The fields every run starts with, none of them mutable: a run that
+    # sets one gives itself its own.
+    #
+    # The recorded events, in a recording run.
+    events = None
+    # In a tree run, the derivation nodes of the judgments still open,
+    # innermost last, over a stand-in whose premises are the roots.
+    opened = None
+    # (value, fuel left) when a readback run's eval stage converged.
+    stage = None
+    # The blackhole's anchor (see the module docstring), as (depth, frame
+    # beneath, key, term, fuel, alloc, event count, path), and its span;
+    # span is None once a skip is made or ruled out.
+    anchor = None
+    span = 16
+    # The trace's skip record (see Trace), once a recording run skips.
+    skipped = None
+
     def __init__(self, fuel, record_trace, max_nodes, trees=False):
         self.fuel = fuel
-        self.record = record_trace or trees
+        self.record = record = record_trace or trees
         self.trees = trees
-        self.events = [] if self.record else None
         self.alloc = [max_nodes]
         self.max_frames = MAX_FRAMES
         self.frames = []
         self.values = []
-        # In a tree run, the derivation nodes of the judgments still
-        # open, innermost last, over a stand-in whose premises are the
-        # roots.
-        self.opened = [DerivationNode(None)] if trees else None
-        # (value, fuel left) when a readback run's eval stage converged.
-        self.stage = None
-        self._ptup = {}
-        # The blackhole's anchor (see the module docstring), as (depth,
-        # frame beneath, key, term, fuel, alloc, event count, path), and
-        # its span; span is None once a skip is made or ruled out.
-        self.anchor = None
-        self.span = 16
-        # The trace's skip record (see Trace), once a recording run skips.
-        self.skipped = None
+        if record:
+            self.events = []
+            self._ptup = {}
+            if trees:
+                self.opened = [DerivationNode(None)]
 
     def path_tuple(self, path):
         # Paths live on the frame stack as cons cells (letter, parent);
@@ -691,6 +696,8 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     """Shared driver over a compiled spec. A readback encoding runs in
     one walk: its readback layer waits in the root THEN frame under the
     eval stage."""
+    if not isinstance(fuel, int):
+        raise EngineError(f"fuel budget must be an integer, got {fuel!r}")
     if fuel < 0:
         raise EngineError("fuel budget must be nonnegative")
     machine = _Machine(fuel, record_trace, max_nodes, trees)

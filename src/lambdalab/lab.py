@@ -81,8 +81,7 @@ class CompareVerdict(FrozenRecord):
     __match_args__ = ("kind", "witness")
 
     def __init__(self, kind: str, witness: tuple | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
+        self.__dict__.update(kind=kind, witness=witness)
 
 
 class CorpusReport(Record):

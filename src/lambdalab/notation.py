@@ -50,9 +50,7 @@ class UniformSpec(FrozenRecord):
         for slot in (la, ar1, ar2):
             if slot not in ("I", "S"):
                 raise NotationError(f"uniform slot must be I or S, got {slot!r}")
-        object.__setattr__(self, "la", la)
-        object.__setattr__(self, "ar1", ar1)
-        object.__setattr__(self, "ar2", ar2)
+        self.__dict__.update(la=la, ar1=ar1, ar2=ar2)
 
     @property
     def triple(self):
@@ -66,10 +64,7 @@ class HybridSpec(FrozenRecord):
         for slot in (la, ar1, ar2):
             if slot not in ("I", "S", "H"):
                 raise NotationError(f"hybrid slot must be I, S or H, got {slot!r}")
-        object.__setattr__(self, "la", la)
-        object.__setattr__(self, "ar1", ar1)
-        object.__setattr__(self, "ar2", ar2)
-        object.__setattr__(self, "subsidiary", subsidiary)
+        self.__dict__.update(la=la, ar1=ar1, ar2=ar2, subsidiary=subsidiary)
 
     @property
     def triple(self):
@@ -88,9 +83,7 @@ class ReadbackSpec(FrozenRecord):
                 raise NotationError(
                     f"readback slot must be I, E, R or (RE), got {slot!r}"
                 )
-        object.__setattr__(self, "la", la)
-        object.__setattr__(self, "ar2", ar2)
-        object.__setattr__(self, "ev", ev)
+        self.__dict__.update(la=la, ar2=ar2, ev=ev)
 
 
 StrategySpec = UniformSpec | HybridSpec | ReadbackSpec
@@ -152,8 +145,7 @@ class Diagnostic(FrozenRecord):
     __match_args__ = ("proviso", "message")
 
     def __init__(self, proviso: str, message: str):
-        object.__setattr__(self, "proviso", proviso)
-        object.__setattr__(self, "message", message)
+        self.__dict__.update(proviso=proviso, message=message)
 
 
 class ValidationReport(FrozenRecord):
@@ -161,9 +153,8 @@ class ValidationReport(FrozenRecord):
 
     def __init__(self, spec: StrategySpec, verdict: str,
                  diagnostics: tuple[Diagnostic, ...] = ()):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        self.__dict__.update(spec=spec, verdict=verdict,
+                             diagnostics=diagnostics)
 
 
 # The verdicts that reject an encoding: the engine will not run it, fuse
@@ -279,8 +270,7 @@ class FusionResult(FrozenRecord):
     __match_args__ = ("hybrid", "mcr")
 
     def __init__(self, hybrid: HybridSpec, mcr: bool):
-        object.__setattr__(self, "hybrid", hybrid)
-        object.__setattr__(self, "mcr", mcr)
+        self.__dict__.update(hybrid=hybrid, mcr=mcr)
 
 
 def fuse(spec: ReadbackSpec | str) -> FusionResult:
@@ -310,6 +300,13 @@ def fuse(spec: ReadbackSpec | str) -> FusionResult:
         spec = parse_spec(spec)
     if not isinstance(spec, ReadbackSpec):
         raise NotationError(f"fuse needs a readback encoding, got {print_spec(spec)}")
+    return _fuse(spec)
+
+
+@cache
+def _fuse(spec: ReadbackSpec) -> FusionResult:
+    """fuse's result for spec, made once per spec as the engine builds
+    each spec once; a rejected spec raises, and is not kept."""
     _refuse_rejected("fuse", spec)
     ev = spec.ev
     hybrid = HybridSpec(
@@ -352,10 +349,9 @@ class CatalogueEntry(FrozenRecord):
 
     def __init__(self, alias: str | None, spec: StrategySpec,
                  classification: str, result_form: FormClass):
-        object.__setattr__(self, "alias", alias)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "result_form", result_form)
+        self.__dict__.update(alias=alias, spec=spec,
+                             classification=classification,
+                             result_form=result_form)
 
 
 # The two strategy facts the provisos leave open, written by hand: the

@@ -9,9 +9,11 @@ Every node gets its set of free variables when it is made, from its
 children's, so free_vars walks nothing. It also gets _height: its
 height if it holds no redex (a variable is 0, a node is one more than
 its highest child) and None if it does, which lets an evaluator return
-such a term at once (see the engine). A node's _hash keeps 60 bits,
-the most a two-digit CPython int holds: 32 bytes, where a full 64-bit
-hash takes a 48-byte block, which pays for the new slot.
+such a term at once (see the engine), and classify answer without a
+walk that such a term or subterm is in all four normal-form families.
+A node's _hash keeps 60 bits, the most a two-digit CPython int holds:
+32 bytes, where a full 64-bit hash takes a 48-byte block, which pays
+for the new slot.
 
 Divergent terms routinely grow very deep before an evaluator's fuel runs
 out, and none of these helpers may crash on such terms. Equality, alpha
@@ -38,6 +40,7 @@ anew and picks the same one.
 from __future__ import annotations
 
 import enum
+import gc
 import re
 
 
@@ -470,9 +473,15 @@ class FormClass(enum.Enum):
 
 _NF, _WNF, _HNF, _WHNF = 1, 2, 4, 8
 _ALL_FORMS = _NF | _WNF | _HNF | _WHNF
+_NEUTRAL, _REDEX = 16, 32
 
 
-def _form_mask(t: Term, memo: dict) -> int:
+def _form_mask(t: Term) -> int:
+    """The family bits of t. A node with a redex-free height holds no
+    redex, so it is in all four families and is not walked."""
+    if t._height is not None:
+        return _ALL_FORMS
+    memo = {}
     stack = [t]
     while stack:
         node = stack[-1]
@@ -480,11 +489,10 @@ def _form_mask(t: Term, memo: dict) -> int:
         if key in memo:
             stack.pop()
             continue
-        ty = type(node)
-        if ty is Var:
+        if node._height is not None:
             memo[key] = _ALL_FORMS
             stack.pop()
-        elif ty is Lam:
+        elif type(node) is Lam:
             bk = id(node.body)
             mb = memo.get(bk)
             if mb is None:
@@ -524,30 +532,34 @@ def _form_mask(t: Term, memo: dict) -> int:
     return memo[id(t)]
 
 
+def _form_classes(bits: int) -> frozenset[FormClass]:
+    out = {form for bit, form in ((_NF, FormClass.NF), (_WNF, FormClass.WNF),
+                                  (_HNF, FormClass.HNF),
+                                  (_WHNF, FormClass.WHNF),
+                                  (_NEUTRAL, FormClass.NEUTRAL),
+                                  (_REDEX, FormClass.REDEX))
+           if bits & bit}
+    if bits & _WNF and bits & _HNF:
+        out.add(FormClass.VHNF)
+    return frozenset(out)
+
+
+# The families of every family mask with its NEUTRAL and REDEX bits.
+_FORM_CLASSES = tuple(map(_form_classes, range(64)))
+
+
 def classify(t: Term) -> set[FormClass]:
     """The set of FormClass families t belongs to."""
-    mask = _form_mask(t, {})
-    out = set()
-    if mask & _NF:
-        out.add(FormClass.NF)
-    if mask & _WNF:
-        out.add(FormClass.WNF)
-    if mask & _HNF:
-        out.add(FormClass.HNF)
-    if mask & _WHNF:
-        out.add(FormClass.WHNF)
-    if mask & _WNF and mask & _HNF:
-        out.add(FormClass.VHNF)
-    ty = type(t)
-    if ty is App:
-        head = t
+    bits = _form_mask(t)
+    if type(t) is App:
+        head = t.operator
         while type(head) is App:
             head = head.operator
         if type(head) is Var:
-            out.add(FormClass.NEUTRAL)
+            bits |= _NEUTRAL
         if type(t.operator) is Lam:
-            out.add(FormClass.REDEX)
-    return out
+            bits |= _REDEX
+    return set(_FORM_CLASSES[bits])
 
 
 # Printer contexts: OPEN extends to the end of the enclosing group,
@@ -733,8 +745,17 @@ def churchN(n: int) -> Term:
         raise ValueError("Church numerals are defined for naturals")
     s = Var("s")
     body = Var("z")
-    for _ in range(n):
-        body = App(s, body)
+    # The chain makes no cycle, so the cyclic collector, which would scan
+    # it again and again as it grows, is paused (as the engine pauses it).
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        for _ in range(n):
+            body = App(s, body)
+    finally:
+        if paused:
+            gc.enable()
     return Lam("s", Lam("z", body))
 
 

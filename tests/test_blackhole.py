@@ -359,3 +359,40 @@ def test_each_spec_is_validated_once(monkeypatch):
     assert len(calls) == 2
     assert messages == [messages[0]] * 3
     assert messages[0].startswith("cannot run HHH<>III (spurious): H3: ")
+
+
+def test_two_runs_share_no_machine_state(monkeypatch):
+    # byValue's eval stage converges on \x.#Omega and its readback then
+    # repeats, so each run sets its stage, its anchor and its skip record;
+    # the second run must start from the class's own starting fields.
+    starting = {name: vars(engine._Machine)[name] for name in
+                ("events", "opened", "stage", "anchor", "span", "skipped")}
+    assert starting == {"events": None, "opened": None, "stage": None,
+                        "anchor": None, "span": 16, "skipped": None}
+    machines = []
+    skip = engine._Machine._skip
+
+    def spy(machine, anchor, path):
+        machines.append(machine)
+        skip(machine, anchor, path)
+
+    monkeypatch.setattr(engine._Machine, "_skip", spy)
+    outcomes = [evaluate("byValue", "\\x.#Omega", 500) for _ in range(2)]
+    first, second = machines
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0].stage is not None and outcomes[0].trace.skip
+    for machine in machines:
+        assert vars(machine).keys() >= {"stage", "anchor", "span", "skipped",
+                                        "events", "_ptup"}
+    assert first.events is not second.events
+    assert first._ptup is not second._ptup
+    assert {name: vars(engine._Machine)[name] for name in starting} == starting
+    # An untraced run records nothing and builds no address table.
+    evaluate("byValue", "\\x.#Omega", 500, record_trace=False)
+    assert "events" not in vars(machines[2])
+    assert "_ptup" not in vars(machines[2])
+    # Each tree run opens its judgments on a stand-in of its own.
+    forests = [derivation_forest("bv", "(\\x.x) y") for _ in range(2)]
+    assert [len(f[0].premises) for f in forests] == [3, 3]
+    assert forests[0][0] is not forests[1][0]
+    assert vars(engine._Machine)["opened"] is None

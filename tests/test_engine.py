@@ -96,6 +96,27 @@ def test_negative_fuel_rejected():
             run()
 
 
+@pytest.mark.parametrize("fuel", [16.0, 10.0, 0.0, "16", None])
+def test_a_fuel_that_is_not_an_integer_is_refused(fuel):
+    # A float once stopped at the first contraction with a raw TypeError,
+    # or, in a run with none, came back as fuel_used.
+    runs = [
+        lambda: evaluate("no", "(\\x.x) y", fuel),
+        lambda: evaluate("no", "x", fuel, record_trace=False),
+        lambda: compare("no", "bn", "(\\x.x) y", fuel),
+        lambda: derivation_forest("no", "(\\x.x) y", fuel),
+    ]
+    for run in runs:
+        with pytest.raises(EngineError,
+                           match="fuel budget must be an integer, got "):
+            run()
+
+
+def test_a_boolean_fuel_is_an_integer():
+    assert evaluate("no", "(\\x.x) y", True).fuel_used == 1
+    assert evaluate("no", "(\\x.x) y", False).status == FUEL_EXHAUSTED
+
+
 def test_engine_refuses_spurious_spec():
     with pytest.raises(EngineError) as exc:
         evaluate("HIH<>SIS", "x")

@@ -266,6 +266,28 @@ def test_fuse_rejects_invalid_readback():
         fuse(parse_spec("II.III"))
 
 
+def test_each_readback_is_judged_once_by_fuse(monkeypatch):
+    notation._fuse.cache_clear()
+    calls = []
+    judge = notation._judge
+    monkeypatch.setattr(notation, "_judge",
+                        lambda spec: calls.append(spec) or judge(spec))
+    results, messages = [], []
+    for _ in range(3):
+        # byValue is (RE)R.ISS: a parsed alias and its encoding are one spec.
+        results += [fuse("byValue"), fuse(parse_spec("(RE)R.ISS"))]
+        with pytest.raises(NotationError) as raised:
+            fuse("II.III")
+        messages.append(str(raised.value))
+    assert results == [results[0]] * 6
+    assert results[0].hybrid == parse_spec("sn") and results[0].mcr
+    assert calls.count(parse_spec("(RE)R.ISS")) == 1
+    # A rejected readback is judged again, and raises, on every call.
+    assert calls.count(parse_spec("II.III")) >= 3
+    assert messages == [messages[0]] * 3
+    assert messages[0].startswith("cannot fuse II.III: invalid; ER2: ")
+
+
 def test_fuse_mcr_iff_eval_stage_is_strict_on_neutrals():
     rows = valid_readbacks()
     flags = [fuse(rb).mcr for rb in rows]

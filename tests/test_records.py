@@ -214,6 +214,21 @@ def test_frozen_records_refuse_assignment(cls):
     assert _fields(record) == before
 
 
+@pytest.mark.parametrize("cls", FROZEN, ids=ids)
+def test_frozen_records_keep_their_fields_in_their_instance_dict(cls):
+    args, kwargs, defaults = CASES[cls]
+    for record in (FULL[cls], cls(*args), cls(**kwargs)):
+        stored = dict(vars(record))
+        assert list(stored) == list(cls.__match_args__)
+        assert tuple(stored.values()) == _fields(record)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(record, cls.__match_args__[-1], None)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(record, cls.__match_args__[0])
+        assert vars(record) == stored
+    assert vars(cls(**kwargs)) == {**kwargs, **defaults}
+
+
 def test_mutable_records_take_assignment():
     report = CorpusReport("a", "b", None, 1, 0)
     report.mcr = True

@@ -1,6 +1,7 @@
 """Term algebra: parsing, printing, substitution, classification."""
 
 import contextlib
+import gc
 import inspect
 import re
 import sys
@@ -84,6 +85,25 @@ def test_parse_builds_a_church_numeral_up_to_the_node_limit(monkeypatch):
     parse_term("#church:0001000000 #church:000")
     parse_term("#church:999999 (#church:1)")
     assert built == [1000000, 1000000, 0, 999999, 1]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_church_numerals_are_built_with_the_collector_paused(enabled,
+                                                             monkeypatch):
+    seen = []
+    app = terms_module.App
+    monkeypatch.setattr(terms_module, "App",
+                        lambda f, a: seen.append(gc.isenabled()) or app(f, a))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        numerals = [churchN(n) for n in (0, 1, 3)]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4
+    assert numerals == [parse_term("\\s.\\z.z"), parse_term("\\s.\\z.s z"),
+                        parse_term("\\s.\\z.s (s (s z))")]
 
 
 @pytest.mark.parametrize("bad", ["(((", "\\.x", ")", "", "\\x", "x )"])
@@ -241,6 +261,93 @@ def test_classify_lattice(t):
     assert (FormClass.VHNF in forms) == (
         FormClass.WNF in forms and FormClass.HNF in forms
     )
+
+
+def _families_by_definition(t):
+    """classify's answer read off the definitions, with every node
+    walked: no node's redex-free height is read."""
+    nf, wnf = {}, {}
+    stack = [(t, False)]
+    while stack:
+        node, done = stack.pop()
+        key = id(node)
+        if key in nf:
+            continue
+        if type(node) is Var:
+            nf[key] = wnf[key] = True
+        elif not done:
+            stack.append((node, True))
+            stack += [(child, False) for child in (
+                (node.body,) if type(node) is Lam
+                else (node.operator, node.operand))]
+        elif type(node) is Lam:
+            nf[key], wnf[key] = nf[id(node.body)], True
+        else:
+            redex = type(node.operator) is Lam
+            parts = (id(node.operator), id(node.operand))
+            nf[key] = not redex and all(nf[p] for p in parts)
+            wnf[key] = not redex and all(wnf[p] for p in parts)
+    body = t
+    while type(body) is Lam:
+        body = body.body
+    head, inner_head = t, body
+    while type(head) is App:
+        head = head.operator
+    while type(inner_head) is App:
+        inner_head = inner_head.operator
+    shapes = {
+        FormClass.NF: nf[id(t)],
+        FormClass.WNF: wnf[id(t)],
+        FormClass.HNF: type(inner_head) is Var,
+        FormClass.WHNF: type(t) is Lam or type(head) is Var,
+        FormClass.NEUTRAL: type(t) is App and type(head) is Var,
+        FormClass.REDEX: type(t) is App and type(t.operator) is Lam,
+    }
+    shapes[FormClass.VHNF] = shapes[FormClass.WNF] and shapes[FormClass.HNF]
+    return {form for form, holds in shapes.items() if holds}
+
+
+def _with_results(named_terms):
+    """The terms, and their converged results under no, bn and bv."""
+    out = list(named_terms)
+    for spec in ("no", "bn", "bv"):
+        for t in named_terms:
+            try:
+                outcome = evaluate(spec, t, 1000, record_trace=False,
+                                   max_nodes=20000)
+            except ResourceLimitError:
+                continue
+            if outcome.result is not None:
+                out.append(outcome.result)
+    return out
+
+
+@given(terms())
+def test_classify_matches_the_full_walk(t):
+    assert classify(t) == _families_by_definition(t)
+    for result in _with_results([t])[1:]:
+        assert classify(result) == _families_by_definition(result)
+
+
+def test_classify_matches_the_full_walk_on_the_corpora(corpus_1337,
+                                                       paper_terms):
+    checked = _with_results(list(corpus_1337) + list(paper_terms.values()))
+    assert len(checked) > 3000
+    families = {}
+    for t in checked:
+        got = classify(t)
+        assert got == _families_by_definition(t), print_term(t)
+        families[frozenset(got)] = families.get(frozenset(got), 0) + 1
+    # The walk's shortcut and its full descent both run: some checked
+    # terms hold a redex under a binder, or under a neutral's operand.
+    assert any(FormClass.NF not in f and FormClass.WNF in f
+               for f in families)
+    assert any(FormClass.NF not in f and FormClass.HNF in f
+               for f in families)
+    # classify hands out a set of its own.
+    first = classify(checked[0])
+    first.clear()
+    assert classify(checked[0]) == _families_by_definition(checked[0])
 
 
 @given(terms())
