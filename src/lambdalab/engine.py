@@ -700,6 +700,9 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
         raise EngineError(f"fuel budget must be an integer, got {fuel!r}")
     if fuel < 0:
         raise EngineError("fuel budget must be nonnegative")
+    if not isinstance(max_nodes, int) or max_nodes < 0:
+        raise EngineError(
+            f"max_nodes must be a nonnegative integer, got {max_nodes!r}")
     machine = _Machine(fuel, record_trace, max_nodes, trees)
     frames = machine.frames
     root, readback = layers

@@ -25,8 +25,8 @@ one-step-equivalent hybrid, and defuse() returns fuse's preimage: the
 readbacks that fuse to a given hybrid.
 
 catalogue() lists every encoding validate() accepts, classified by its
-verdict; only what the provisos leave open, the result forms and the
-aliases, is written by hand.
+verdict, with the result form result_form() reads off its slots; only
+the aliases are written by hand.
 """
 
 from __future__ import annotations
@@ -354,68 +354,50 @@ class CatalogueEntry(FrozenRecord):
                              result_form=result_form)
 
 
-# The two strategy facts the provisos leave open, written by hand: the
-# form family that the converged results of each eval-apply encoding land
-# in, and the short aliases. A readback lands where the hybrid it fuses to
-# does, so its row gives only its alias.
-_HAND_WRITTEN = (
-    ("III", FormClass.WHNF, "bn"),
-    ("IIS", FormClass.WNF, None),
-    ("SII", FormClass.HNF, "he"),
-    ("SIS", FormClass.NF, None),
-    ("ISI", FormClass.WHNF, None),
-    ("ISS", FormClass.WNF, "bv"),
-    ("SSI", FormClass.HNF, "ho"),
-    ("SSS", FormClass.NF, "ao"),
-    ("IIH<>III", FormClass.WNF, None),
-    ("SIH<>III", FormClass.WNF, None),
-    ("HII<>III", FormClass.HNF, "hr"),
-    ("HIS<>III", FormClass.VHNF, None),
-    ("HIH<>III", FormClass.NF, "no"),
-    ("SIH<>IIS", FormClass.WNF, None),
-    ("HIS<>IIS", FormClass.VHNF, None),
-    ("HIH<>IIS", FormClass.NF, None),
-    ("SIH<>SII", FormClass.WNF, None),
-    ("HIS<>SII", FormClass.HNF, None),
-    ("HIH<>SII", FormClass.NF, "hn"),
-    ("ISH<>ISI", FormClass.WNF, None),
-    ("SSH<>ISI", FormClass.WNF, None),
-    ("HSI<>ISI", FormClass.HNF, None),
-    ("HSS<>ISI", FormClass.VHNF, None),
-    ("HSH<>ISI", FormClass.NF, None),
-    ("SSH<>ISS", FormClass.WNF, None),
-    ("HSS<>ISS", FormClass.VHNF, "am"),
-    ("HSH<>ISS", FormClass.NF, "sn"),
-    ("SSH<>SSI", FormClass.WNF, None),
-    ("HSS<>SSI", FormClass.HNF, None),
-    ("HSH<>SSI", FormClass.NF, "bs"),
-    ("IHH<>ISI", FormClass.WNF, None),
-    ("SHH<>ISI", FormClass.WNF, None),
-    ("HHI<>ISI", FormClass.HNF, None),
-    ("HHS<>ISI", FormClass.VHNF, None),
-    ("HHH<>ISI", FormClass.NF, None),
-    ("SHH<>ISS", FormClass.WNF, None),
-    ("HHS<>ISS", FormClass.VHNF, None),
-    ("HHH<>ISS", FormClass.NF, "ha"),
-    ("SHH<>SSI", FormClass.WNF, None),
-    ("HHS<>SSI", FormClass.HNF, None),
-    ("HHH<>SSI", FormClass.NF, "so"),
-    ("R(RE).SII", None, "byName"),
-    ("(RE)R.ISS", None, "byValue"),
-)
-
-_FORMS = {text: form for text, form, _ in _HAND_WRITTEN if form is not None}
-ALIASES: dict[str, str] = {alias: text for text, _, alias in _HAND_WRITTEN
-                           if alias is not None}
+# The one strategy fact the provisos leave open, written by hand.
+ALIASES: dict[str, str] = {
+    "bn": "III", "he": "SII", "bv": "ISS", "ho": "SSI", "ao": "SSS",
+    "hr": "HII<>III", "no": "HIH<>III", "hn": "HIH<>SII", "am": "HSS<>ISS",
+    "sn": "HSH<>ISS", "bs": "HSH<>SSI", "ha": "HHH<>ISS", "so": "HHH<>SSI",
+    "byName": "R(RE).SII", "byValue": "(RE)R.ISS",
+}
 
 _ALIAS_BY_SYSTEMATIC = {v: k for k, v in ALIASES.items()}
 
 
+def _row_verdict(spec: StrategySpec) -> str | None:
+    """spec's verdict if it is a catalogue row: not rejected, and not a
+    hybrid X<>X restating its subsidiary."""
+    verdict, broken = _judge(spec)
+    if verdict in REJECTED or _RESTATES in broken:
+        return None
+    return verdict
+
+
 def result_form(spec: StrategySpec) -> FormClass:
-    """The form family the converged results of a catalogue row land in."""
+    """The form family the converged results of a catalogue row land in.
+
+    A result is an abstraction whose body the la slot left, or a neutral
+    whose operands the ar2 slot left: the grammar terms._form_mask walks.
+    A slot is own when it calls the evaluator itself (S in a uniform, H
+    in a hybrid). Own la and ar2 give NF, own la alone HNF, own ar2
+    alone WNF, and neither WHNF; but a hybrid with own la whose ar2 = S
+    leaves neutral operands to a subsidiary with la = I, whose results
+    are weak: VHNF. A readback lands where its fused hybrid does. Any
+    other encoding raises NotationError.
+    """
+    if _row_verdict(spec) is None:
+        raise NotationError(f"{print_spec(spec)} is not a catalogue row")
     if isinstance(spec, ReadbackSpec):
         spec = fuse(spec).hybrid
-    return _FORMS[print_spec(spec)]
+    own = "H" if isinstance(spec, HybridSpec) else "S"
+    if spec.la == own:
+        if spec.ar2 == own:
+            return FormClass.NF
+        if spec.ar2 == "S" and spec.subsidiary.la == "I":
+            return FormClass.VHNF
+        return FormClass.HNF
+    return FormClass.WNF if spec.ar2 == own else FormClass.WHNF
 
 
 def _survey():
@@ -447,8 +429,8 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
     """
     rows = []
     for spec in _survey():
-        verdict, broken = _judge(spec)
-        if verdict in REJECTED or _RESTATES in broken:
+        verdict = _row_verdict(spec)
+        if verdict is None:
             continue
         classification = verdict.split("-", 1)[1].replace("-", " ")
         rows.append(CatalogueEntry(alias_of(spec), spec, classification,

@@ -112,6 +112,29 @@ def test_a_fuel_that_is_not_an_integer_is_refused(fuel):
             run()
 
 
+@pytest.mark.parametrize("max_nodes", [None, "5", -1, 2.5])
+def test_a_max_nodes_that_is_not_a_nonnegative_integer_is_refused(max_nodes):
+    # None and "5" once stopped at the first contraction with a raw
+    # TypeError, -1 read as a ResourceLimitError, and 2.5 went unremarked;
+    # a run with no contraction never read the limit at all.
+    runs = [
+        lambda: evaluate("no", "(\\x.x x) (\\y.y)", max_nodes=max_nodes),
+        lambda: evaluate("no", "x", record_trace=False, max_nodes=max_nodes),
+        lambda: compare("no", "bn", "(\\x.x) y", max_nodes=max_nodes),
+        lambda: derivation_forest("no", "(\\x.x) y", max_nodes=max_nodes),
+    ]
+    for run in runs:
+        with pytest.raises(EngineError, match="^max_nodes must be a "
+                           "nonnegative integer, got "):
+            run()
+
+
+def test_a_boolean_max_nodes_is_an_integer():
+    assert evaluate("no", "(\\x.x) y", max_nodes=True).status == CONVERGED
+    with pytest.raises(ResourceLimitError):
+        evaluate("no", "(\\x.x x) (\\y.y)", max_nodes=False)
+
+
 def test_a_boolean_fuel_is_an_integer():
     assert evaluate("no", "(\\x.x) y", True).fuel_used == 1
     assert evaluate("no", "(\\x.x) y", False).status == FUEL_EXHAUSTED

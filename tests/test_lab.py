@@ -17,6 +17,7 @@ from lambdalab import (
     INCONCLUSIVE,
     ONE_STEP_EQUAL,
     VIOLATED,
+    EngineError,
     FormClass,
     FusionResult,
     NotationError,
@@ -357,6 +358,17 @@ def test_node_limit_gives_the_resource_verdict(driver):
     report = driver([parse_term("(\\x.x x x) (\\x.x x x)")])
     assert report.verdicts == {"resource": 1}
     assert report.counterexamples == []
+
+
+@pytest.mark.parametrize("max_nodes", [None, "5", -1])
+@pytest.mark.parametrize("driver", [compare_corpus, check_absorption,
+                                    check_fusion_row])
+def test_a_bad_max_nodes_is_refused_not_counted_as_resource(driver, max_nodes):
+    specs = ("byValue",) if driver is check_fusion_row else ("no", "bn")
+    with pytest.raises(EngineError, match="^max_nodes must be a "
+                       "nonnegative integer, got "):
+        driver(*specs, [parse_term("(\\x.x x) (\\y.y)")],
+               max_nodes=max_nodes)
 
 
 DRIVERS = {
