@@ -44,8 +44,15 @@ two frames a level (MKLAM and THEN, AP1, or ARG and THEN); so a walk
 that opens at stack depth d is skipped only when d + 2h is within the
 limit, and any walk that could pass the limit is made for real. The
 walk of an abstraction under a layer that leaves bodies alone is also
-answered at once, at the operand premise. Derivation-tree runs, whose
-trees have a node for every judgment, walk every term.
+answered at once, at the operand premise. A run whose root judgment
+would close at its first EV pop (a variable, an abstraction under a
+root layer that leaves bodies alone, or a term with no redex whose
+2h is within the limit) is answered before any machine is built: its
+input, converged, with no fuel spent and no event. A readback run
+qualifies only when its eval walk closes at depth 1, above the root
+THEN frame, and its readback walk at depth 0; its stage is the same
+answer. Derivation-tree runs, whose trees have a node for every
+judgment, walk every term.
 
 The blackhole cuts divergent runs short, as lazy evaluators do when a
 thunk is demanded while it is being evaluated (Peyton Jones, The
@@ -153,7 +160,11 @@ class EngineError(ValueError):
 
 
 class TraceEvent(Record):
-    """One beta contraction: its address, redex, and contractum."""
+    """One beta contraction: its address, redex, and contractum. The
+    redex is the application node the walk met when its operator and
+    operand premises returned their inputs, so runs that contract the
+    same subterm share one redex object; otherwise it is a fresh node
+    of the premises' values."""
 
     __slots__ = __match_args__ = ("step_index", "position", "redex",
                                   "contractum")
@@ -558,18 +569,18 @@ class _Machine:
             # AP1 and ARG end here, once the operand premise has given
             # arg: contract, or finish the neutral.
             if head.__class__ is Lam:
-                max_frames = self._contract(layer, head, arg, path)
+                max_frames = self._contract(layer, appnode, head, arg, path)
             elif arg is appnode.operand and head is appnode.operator:
                 values.append(appnode)
             else:
                 values.append(App(head, arg))
         return values.pop()
 
-    def _contract(self, layer, lam, operand, path):
-        """Contract lam applied to operand, at path, and push the
-        contractum's judgment under layer, consulting the blackhole on
-        every 16th contraction. Returns the frame limit, which a skip
-        lowers."""
+    def _contract(self, layer, appnode, lam, operand, path):
+        """Contract lam applied to operand, the values of appnode's
+        premises, at path, and push the contractum's judgment under
+        layer, consulting the blackhole on every 16th contraction.
+        Returns the frame limit, which a skip lowers."""
         fuel = self.fuel
         if fuel == 0:
             raise _OutOfFuel
@@ -578,8 +589,12 @@ class _Machine:
         contractum = substitute(operand, lam.param, lam.body, self.alloc)
         if self.record:
             events = self.events
-            event = TraceEvent(len(events), self.path_tuple(path),
-                               App(lam, operand), contractum)
+            if lam is appnode.operator and operand is appnode.operand:
+                redex = appnode
+            else:
+                redex = App(lam, operand)
+            event = TraceEvent(len(events), self.path_tuple(path), redex,
+                               contractum)
             events.append(event)
             if self.trees:
                 self.opened[-1].event = event
@@ -692,6 +707,28 @@ def _same_dag(a, b) -> bool:
     return True
 
 
+def _closes(layer, term, depth):
+    """Whether the walk of term under layer, opened at stack depth depth,
+    returns term at its first EV pop, as _Machine.run decides it."""
+    h = term._height
+    if h is not None and depth + h + h <= MAX_FRAMES:
+        return True
+    return term.__class__ is Lam and layer.la is None and depth <= MAX_FRAMES
+
+
+def _answers_at_once(layers, term):
+    """Whether a run of term under the compiled layers closes its root
+    judgment at the first EV pop: a readback run's eval walk opens at
+    depth 1, above the root THEN frame, and its readback walk at 0."""
+    root, readback = layers
+    if readback is None:
+        return _closes(root, term, 0)
+    return _closes(root, term, 1) and _closes(readback, term, 0)
+
+
+_NO_EVENTS = Trace(())
+
+
 def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     """Shared driver over a compiled spec. A readback encoding runs in
     one walk: its readback layer waits in the root THEN frame under the
@@ -703,9 +740,19 @@ def _run_machine(layers, term, fuel, record_trace, max_nodes, trees=False):
     if not isinstance(max_nodes, int) or max_nodes < 0:
         raise EngineError(
             f"max_nodes must be a nonnegative integer, got {max_nodes!r}")
+    root, readback = layers
+    # Only a term with no redex, or an abstraction under a root layer that
+    # leaves bodies alone, can close at once: the test spares every other
+    # run the call.
+    if (not trees and (term._height is not None
+                       or term.__class__ is Lam and root.la is None)
+            and _answers_at_once(layers, term)):
+        trace = _NO_EVENTS if record_trace else None
+        stage = None if readback is None else Outcome(CONVERGED, term,
+                                                      trace, 0)
+        return Outcome(CONVERGED, term, trace, 0, stage), None
     machine = _Machine(fuel, record_trace, max_nodes, trees)
     frames = machine.frames
-    root, readback = layers
     if readback is not None:
         frames.append((_THEN, readback, None))
     frames.append((_EV, root, term, None))

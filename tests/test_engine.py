@@ -473,6 +473,132 @@ def test_a_run_at_its_frame_edge_keeps_its_whole_outcome(case, monkeypatch):
     assert evaluate(row, term) == spare
 
 
+# A run whose root judgment closes at its first EV pop is answered before
+# any machine is built: a term with no redex, a variable, and an
+# abstraction under a row whose eval (and readback) layer leaves bodies
+# alone. The machine is the reference for that answer, over every frame
+# limit that can tell them apart.
+def _at_once_terms(corpus):
+    """A variable, one term with no redex of each height, and three
+    abstractions that hold a redex."""
+    ordered = sorted(corpus, key=print_term)
+    by_height = {}
+    for t in ordered:
+        if t._height is not None:
+            by_height.setdefault(t._height, t)
+    bodies = [t for t in ordered if isinstance(t, Lam) and t._height is None]
+    return [Var("x"), *by_height.values(), *bodies[:3]]
+
+
+def _run_or_error(spec, term, traced):
+    try:
+        return evaluate(spec, term, record_trace=traced)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("row", catalogue(), ids=lambda r: print_spec(r.spec))
+def test_the_early_answer_is_the_machine_answer(row, corpus_1337,
+                                                monkeypatch):
+    layers = engine._compile(row.spec)
+    answered = 0
+    for term in _at_once_terms(corpus_1337):
+        h = term._height or 0
+        for limit in range(2 * h + 3):
+            monkeypatch.setattr(engine, "MAX_FRAMES", limit)
+            at_once = engine._answers_at_once(layers, term)
+            answered += at_once
+            for traced in (True, False):
+                early = _run_or_error(row.spec, term, traced)
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "_answers_at_once",
+                                  lambda layers, term: False)
+                    walked = _run_or_error(row.spec, term, traced)
+                assert early == walked, (print_term(term), limit, traced)
+                if at_once:
+                    assert early.result is term is walked.result
+    assert answered
+
+
+def test_a_readback_of_a_variable_keeps_the_frame_error(monkeypatch):
+    # The eval walk opens above the root THEN frame, at depth 1.
+    monkeypatch.setattr(engine, "MAX_FRAMES", 0)
+    assert not engine._answers_at_once(engine._compile("byValue"), Var("x"))
+    with pytest.raises(ResourceLimitError,
+                       match="machine frame stack limit exceeded"):
+        evaluate("byValue", "x")
+    assert evaluate("bv", "x").result == Var("x")
+
+
+def _subterm(term, position):
+    for letter in position:
+        term = (term.operator if letter == "F" else
+                term.operand if letter == "A" else term.body)
+    return term
+
+
+def _gather(term, met):
+    """Add term's nodes to met, keyed by id."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if id(t) in met:
+            continue
+        met[id(t)] = t
+        if isinstance(t, Lam):
+            stack.append(t.body)
+        elif isinstance(t, terms.App):
+            stack += (t.operator, t.operand)
+
+
+@pytest.mark.parametrize("row", catalogue(), ids=lambda r: print_spec(r.spec))
+def test_an_event_holds_its_application_node_when_its_premises_kept_it(row):
+    # The node at an event's address in the term before the step is one
+    # of the input's or a contractum's nodes exactly when no contraction
+    # has been made inside it since it was placed: the walk's operator
+    # and operand premises returned their inputs, and the event's redex
+    # is that node. Otherwise the replay rebuilt the node, and the redex
+    # is a fresh node equal to it. A trace that skips builds the copies of
+    # its period from the period's own nodes, which the replay then meets,
+    # so identity is read up to the end of the period.
+    kept = 0
+    for _, term in paper_corpus():
+        outcome = evaluate(row.spec, term, 300)
+        states = reconstruct_sequence(term, outcome.trace)
+        skip = outcome.trace.skip
+        real = len(states) if skip is None else skip[0] + skip[1]
+        met = {}
+        _gather(term, met)
+        for event, before in zip(outcome.trace[:real], states):
+            at = _subterm(before, event.position)
+            if id(at) in met:
+                assert event.redex is at
+                kept += 1
+            else:
+                assert event.redex is not at and event.redex == at
+            _gather(event.contractum, met)
+        if outcome.status != CONVERGED:
+            continue
+        stack = list(derivation_forest(row.spec, term, 300))
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            if node.kind != "CON":
+                continue
+            operator, *operand, last = node.premises
+            lam = operator.output
+            arg = operand[0].output if operand else node.input.operand
+            assert node.operand_result is arg
+            assert node.contractum is last.input
+            assert node.event.redex.operator is lam
+            if lam is operator.input and arg is node.input.operand:
+                assert node.event.redex is node.input
+            else:
+                assert node.event.redex is not node.input
+                assert node.event.redex == terms.App(lam, arg)
+    assert kept
+
+
 # Only a recording run builds addresses, so the untraced walk pushes no
 # address cells; every outcome field but the trace must not notice.
 _AGREEMENT_TERMS = ([t for _, t in paper_corpus()]
